@@ -252,18 +252,35 @@ def cmd_wavepacket(cfg: dict, args) -> int:
     return 0
 
 
+def _contraction_scan(n: int, scan: list[float]) -> tuple[float, list[float], bool]:
+    """Poincare residuals over the radius scan, their log-log slope, and
+    whether the slope meets the contraction target -1 +- 0.05."""
+    st = SpacetimeConfig(n=n)
+    res = [lorentz.poincare_residual(st, R) for R in scan]
+    slope = float(np.polyfit(np.log(scan), np.log(res), 1)[0])
+    return slope, res, abs(slope + 1.0) < 0.05
+
+
+APPENDIX_TOL = 1e-4  # relative error bound of the |d| oracle vs the closed form
+
+
+def _appendix_case(n: int, j: int, k: int, rho: float) -> tuple[float, float, float]:
+    """(oracle, closed form, relative error) of |d(rho)| in one sector."""
+    oracle = limits.appendix_d_oracle(n, j, k, rho)
+    closed = specfun.d_abs(n, j, k, rho)
+    return oracle, closed, abs(oracle - closed) / closed
+
+
 def cmd_contract(cfg: dict, args) -> int:
     rows = []
     ok = True
+    scan = _floats(cfg["R_scan"])
     for n in _ints(cfg["n_grid"]):
-        st = SpacetimeConfig(n=n)
-        scan = _floats(cfg["R_scan"])
-        res = [lorentz.poincare_residual(st, R) for R in scan]
-        slope = float(np.polyfit(np.log(scan), np.log(res), 1)[0])
+        slope, res, passed = _contraction_scan(n, scan)
         rows.append([n, slope] + res)
-        ok = ok and abs(slope + 1.0) < 0.05
+        ok = ok and passed
     out = os.path.join(args.out, "contract.csv")
-    write_csv(out, ["n", "slope"] + [f"res_R{int(r)}" for r in _floats(cfg['R_scan'])],
+    write_csv(out, ["n", "slope"] + [f"res_R{int(r)}" for r in scan],
               rows, _meta(cfg, args))
     print(f"wrote {out}; slope target -1 +- 0.05: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -276,15 +293,13 @@ def cmd_appendix_d(cfg: dict, args) -> int:
         for j in _ints(cfg["j_grid"]):
             for k in _ints(cfg["k_grid"]):
                 for rho in _floats(cfg["rho_grid"]):
-                    oracle = limits.appendix_d_oracle(n, j, k, rho)
-                    closed = specfun.d_abs(n, j, k, rho)
-                    rel = abs(oracle - closed) / closed
+                    oracle, closed, rel = _appendix_case(n, j, k, rho)
                     worst = max(worst, rel)
                     rows.append([n, j, k, rho, oracle, closed, rel])
     out = os.path.join(args.out, "appendix_d.csv")
     write_csv(out, ["n", "j", "k", "rho", "oracle", "formula", "rel_err"],
               rows, _meta(cfg, args))
-    ok = worst <= 1e-4
+    ok = worst <= APPENDIX_TOL
     print(f"wrote {out}; worst relative error {worst:.3e}: "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -344,26 +359,21 @@ def _verify_transform(cfg, args, rows) -> bool:
 def _verify_contract(cfg, args, rows) -> bool:
     ok = True
     for n in (2, 3, 4):
-        st = SpacetimeConfig(n=n)
-        scan = [10.0, 100.0, 1000.0, 10000.0]
-        res = [lorentz.poincare_residual(st, R) for R in scan]
-        slope = float(np.polyfit(np.log(scan), np.log(res), 1)[0])
-        rows.append(["contract", f"slope n={n}", slope, -1.0, abs(slope + 1) < 0.05])
-        ok = ok and abs(slope + 1.0) < 0.05
+        slope, _, passed = _contraction_scan(n, [10.0, 100.0, 1000.0, 10000.0])
+        rows.append(["contract", f"slope n={n}", slope, -1.0, passed])
+        ok = ok and passed
     return ok
 
 
 def _verify_appendix(cfg, args, rows) -> bool:
-    worst = 0.0
+    ok = True
     for n in (2, 3):
         for (j, k) in ((0, 0), (1, 1)):
-            rho = 1.0
-            oracle = limits.appendix_d_oracle(n, j, k, rho)
-            closed = specfun.d_abs(n, j, k, rho)
-            rel = abs(oracle - closed) / closed
-            worst = max(worst, rel)
-            rows.append(["appendix", f"|d| n={n} j={j} k={k}", rel, 1e-4, rel <= 1e-4])
-    return worst <= 1e-4
+            rel = _appendix_case(n, j, k, 1.0)[2]
+            passed = rel <= APPENDIX_TOL
+            rows.append(["appendix", f"|d| n={n} j={j} k={k}", rel, APPENDIX_TOL, passed])
+            ok = ok and passed
+    return ok
 
 
 def _verify_decay(cfg, args, rows) -> bool:

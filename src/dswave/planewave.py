@@ -5,6 +5,7 @@ The ambient wave is the boundary-value combination
 Theta(x.xi) |x.xi/(mu R)|^sigma + e^{-pi(i(n-1)/2 + mu')} Theta(-x.xi)
 |x.xi/(mu R)|^sigma with sigma = -(n-1)/2 + i mu'; the branch handling is
 exactly this two-term form, never a complex log of a negative number.
+_two_branch is its one implementation, shared with the wavepacket synthesis.
 
 The hyperbolic waves carry the prefactor (cosh beta)^{-(n-1)/2 + i rho} and
 hypergeometric factors with parameters
@@ -13,7 +14,8 @@ hypergeometric factors with parameters
 (l the top chain label).  The sign of i rho inside a, b is opposite to the
 prefactor's: that pairing is the one that solves the radial equation, as the
 residual engines below verify; `mirror_params=True` evaluates the other
-pairing for comparison (see ode_variant_report).
+pairing for comparison (see ode_variant_report).  The 2F1 factor and its
+large-beta constants come from specfun (gauss_2f1_array, connection_gammas).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ComplementarySeriesError, OnSingularSurfaceError
+from .errors import AccuracyError, ComplementarySeriesError, OnSingularSurfaceError
 from .geometry import HyperChart, SpacetimeConfig, minkowski_dot
 from .specfun import HarmonicIndex, SpecFunConfig
 
@@ -95,26 +97,30 @@ class AmbientWave:
             raise ValueError("covector must be null")
 
 
+def _two_branch(mass: PrincipalMass, s):
+    """Two-branch ambient wave values at an array of s = x.xi; entries at
+    s = 0 are not finite and are left to the caller's policy."""
+    cfg = mass.cfg
+    w = np.abs(s) / (mass.mu * cfg.R)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.exp(mass.sigma * np.log(w))
+    damp = np.exp(-np.pi * (0.5j * (cfg.n - 1) + mass.mu_prime))
+    return np.where(s > 0, val, damp * val)
+
+
 def psi_ambient(wave: AmbientWave, x):
     """Evaluate the ambient plane wave; broadcasts over rows of x.
 
     Raises OnSingularSurfaceError only for scalar input exactly on
-    x.xi = 0; for array input the caller is expected to mask such nodes.
+    x.xi = 0; for array input such nodes come back as NaN.
     """
-    mass = wave.mass
-    cfg = mass.cfg
     xi = np.asarray(wave.xi, dtype=float)
     s = minkowski_dot(np.asarray(x, dtype=float), xi)
     scalar = np.ndim(s) == 0
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if scalar and s[0] == 0.0:
         raise OnSingularSurfaceError("x.xi = 0")
-    w = np.abs(s) / (mass.mu * cfg.R)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.exp(mass.sigma * np.log(w))
-    damp = np.exp(-np.pi * (0.5j * (cfg.n - 1) + mass.mu_prime))
-    out = np.where(s > 0, val, damp * val)
-    out = np.where(s == 0, np.nan + 0j, out)
+    out = np.where(s == 0, np.nan + 0j, _two_branch(wave.mass, s))
     return out[0] if scalar else out
 
 
@@ -146,19 +152,30 @@ def hyper_2f1_params(wave: HyperWave, mirror_params: bool = False):
     return (ir + l + 0.5 * (n + 1)) / 2, (ir - l - 0.5 * (n - 5)) / 2, 1.5
 
 
+# Below this sech^2 is subnormal with fewer than 32 significant bits, and the
+# phase (1-v)^{+-i rho} of the connection formula inherits that rounding.
+_SECH2_MIN = 2.0 ** -1042
+
+
 def radial_profile(wave: HyperWave, beta, mirror_params: bool = False,
                    cfg: SpecFunConfig | None = None):
-    """Radial factor V(beta), including the K-normalization prefactor."""
+    """Radial factor V(beta), including the K-normalization prefactor;
+    AccuracyError where sech^2(beta) < _SECH2_MIN (|beta| > 361.8)."""
     sf = cfg or SpecFunConfig()
     a, b, c = hyper_2f1_params(wave, mirror_params)
     n, l, rho = wave.n, wave.idx.top, wave.rho
     K = specfun.norm_K(wave.alpha, n, l, rho)
     beta = np.asarray(beta, dtype=float)
-    v = np.tanh(beta) ** 2
-    w = 1.0 / np.cosh(beta) ** 2  # 1 - v to full precision at large beta
-    f = specfun.gauss_2f1_array(a, b, c, np.atleast_1d(v), sf,
-                                one_minus_v=np.atleast_1d(w)).reshape(v.shape)
-    env = np.cosh(beta) ** complex(-0.5 * (n - 1), rho)
+    # sech^2 and log cosh from e = e^{-2|beta|}, which cannot overflow
+    e = np.exp(-2.0 * np.abs(beta))
+    w = 4.0 * e / (1.0 + e) ** 2
+    if np.any(w < _SECH2_MIN):
+        raise AccuracyError(
+            f"|beta| = {np.max(np.abs(beta)):g} too large: sech^2 underflows")
+    log_cosh = np.abs(beta) + np.log1p(e) - np.log(2.0)
+    f = specfun.gauss_2f1_array(a, b, c, np.atleast_1d(np.tanh(beta) ** 2), sf,
+                                one_minus_v=np.atleast_1d(w)).reshape(beta.shape)
+    env = np.exp(complex(-0.5 * (n - 1), rho) * log_cosh)
     if wave.alpha == 2:
         return f * env / np.sqrt(K)
     return 2.0 * np.tanh(beta) * f * env / np.sqrt(K)
@@ -178,11 +195,7 @@ def connection_constants(wave: HyperWave) -> tuple[complex, complex]:
     behaves like (cosh b)^{-(n-1)/2} [D1 (cosh b)^{i rho} + D2 (cosh b)^{-i rho}]
     times the normalization; D1 = conj(D2).
     """
-    a, b, c = hyper_2f1_params(wave)
-    lg = specfun.ln_gamma
-    D1 = np.exp(lg(c) + lg(c - a - b) - lg(c - a) - lg(c - b))
-    D2 = np.exp(lg(c) + lg(a + b - c) - lg(a) - lg(b))
-    return complex(D1), complex(D2)
+    return specfun.connection_gammas(*hyper_2f1_params(wave))
 
 
 def asymptotic_leading(wave: HyperWave, beta, phis, phi,

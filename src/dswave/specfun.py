@@ -2,9 +2,12 @@
 functions, hyperspherical harmonics, Bessel J, and the normalization
 constants of the hyperbolic plane waves and of the cone intertwiner.
 
-The 2F1 evaluator uses the direct power series below a switch point v* and
-the 1-v connection formula above it; the principal-series parameters always
-have non-integer c-a-b, which keeps the connection formula non-degenerate.
+2F1 lives in one kernel: gauss_2f1_array (gauss_2f1 is its one-point call)
+sums the one power series, _series_2f1_array, below a switch point v* and
+evaluates the 1-v connection formula above it, with the Gamma ratios of
+connection_gammas; gauss_2f1_regularized runs the same series.  The
+principal-series parameters always have non-integer c-a-b, which keeps the
+connection formula non-degenerate.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "gauss_2f1",
     "gauss_2f1_array",
     "gauss_2f1_regularized",
+    "connection_gammas",
     "assoc_legendre_P",
     "gegenbauer_C",
     "hypersph_Y",
@@ -119,45 +123,6 @@ def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
     return abs(z.imag) < tol and z.real < 0.5 and abs(z.real - round(z.real)) < tol
 
 
-def _series_2f1(a, b, c, v, cfg: SpecFunConfig) -> complex:
-    term = 1.0 + 0.0j
-    acc = 1.0 + 0.0j
-    for k in range(cfg.max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * v
-        acc += term
-        if abs(term) <= cfg.series_tol * max(abs(acc), 1e-300):
-            return acc
-    raise AccuracyError(f"2F1 series did not converge in {cfg.max_terms} terms")
-
-
-def gauss_2f1(a: complex, b: complex, c: complex, v: float,
-              cfg: SpecFunConfig = _DEFAULT) -> complex:
-    """Gauss hypergeometric 2F1(a, b; c; v) on v in [0, 1).
-
-    Direct series for v <= v*; for v > v* the two-term connection formula
-    in 1-v, which needs c-a-b not an integer (always true on the principal
-    series, where c-a-b = +-i rho).
-    """
-    if not (0.0 <= v < 1.0):
-        raise ValueError(f"argument must lie in [0, 1), got {v}")
-    if _is_nonpositive_int(c):
-        raise PoleError(f"2F1 parameter c = {c} is a non-positive integer")
-    if v == 0.0:
-        return 1.0 + 0.0j
-    if v <= cfg.connection_switch:
-        return _series_2f1(a, b, c, v, cfg)
-    s = c - a - b
-    if abs(s - round(s.real)) < 1e-10 and abs(s.imag) < 1e-10:
-        raise UnsupportedCaseError(
-            f"connection formula degenerate: c-a-b = {s} is an integer")
-    w = 1.0 - v
-    f1 = _series_2f1(a, b, a + b + 1.0 - c, w, cfg)
-    f2 = _series_2f1(c - a, c - b, 1.0 + c - a - b, w, cfg)
-    g1 = np.exp(ln_gamma(c) + ln_gamma(s) - ln_gamma(c - a) - ln_gamma(c - b))
-    g2 = np.exp(ln_gamma(c) + ln_gamma(-s) - ln_gamma(a) - ln_gamma(b))
-    return g1 * f1 + g2 * w ** s * f2
-
-
 def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig) -> np.ndarray:
     term = np.ones_like(v, dtype=complex)
     acc = np.ones_like(v, dtype=complex)
@@ -169,10 +134,31 @@ def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig) -> np.ndarray:
     raise AccuracyError(f"2F1 series did not converge in {cfg.max_terms} terms")
 
 
+def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    """Gamma ratios (G1, G2) of the 1-v connection formula (A&S 15.3.6):
+    2F1(a,b;c;v) = G1 F(a,b;a+b-c+1;1-v) + G2 (1-v)^{c-a-b} F(c-a,c-b;c-a-b+1;1-v).
+    """
+    s = c - a - b
+    g1 = np.exp(ln_gamma(c) + ln_gamma(s) - ln_gamma(c - a) - ln_gamma(c - b))
+    g2 = np.exp(ln_gamma(c) + ln_gamma(-s) - ln_gamma(a) - ln_gamma(b))
+    return complex(g1), complex(g2)
+
+
+def gauss_2f1(a: complex, b: complex, c: complex, v: float,
+              cfg: SpecFunConfig = _DEFAULT) -> complex:
+    """Gauss hypergeometric 2F1(a, b; c; v) at one v in [0, 1): a one-point
+    call of gauss_2f1_array, which owns the evaluation and its errors."""
+    return complex(gauss_2f1_array(a, b, c, np.array([v], dtype=float), cfg)[0])
+
+
 def gauss_2f1_array(a: complex, b: complex, c: complex, v,
                     cfg: SpecFunConfig = _DEFAULT,
                     one_minus_v=None) -> np.ndarray:
-    """Vectorized gauss_2f1 over an array of arguments in [0, 1).
+    """Gauss hypergeometric 2F1(a, b; c; v) over an array of v in [0, 1).
+
+    Direct series for v <= v*; for v > v* the two-term connection formula
+    in 1-v, which needs c-a-b not an integer (always true on the principal
+    series, where c-a-b = +-i rho).  Non-positive integer c raises PoleError.
 
     one_minus_v may supply 1 - v to full precision (needed when v is so
     close to 1 that the subtraction underflows, e.g. tanh^2 of a large
@@ -180,8 +166,10 @@ def gauss_2f1_array(a: complex, b: complex, c: complex, v,
     """
     v = np.asarray(v, dtype=float)
     w_all = 1.0 - v if one_minus_v is None else np.asarray(one_minus_v, dtype=float)
-    if np.any((v < 0.0) | (w_all <= 0.0)):
+    if not np.all((v >= 0.0) & (w_all > 0.0)):
         raise ValueError("arguments must lie in [0, 1)")
+    if _is_nonpositive_int(complex(c)):
+        raise PoleError(f"2F1 parameter c = {c} is a non-positive integer")
     out = np.empty(v.shape, dtype=complex)
     lo = v <= cfg.connection_switch
     if np.any(lo):
@@ -194,8 +182,7 @@ def gauss_2f1_array(a: complex, b: complex, c: complex, v,
         w = w_all[~lo]
         f1 = _series_2f1_array(a, b, a + b + 1.0 - c, w, cfg)
         f2 = _series_2f1_array(c - a, c - b, 1.0 + c - a - b, w, cfg)
-        g1 = np.exp(ln_gamma(c) + ln_gamma(s) - ln_gamma(c - a) - ln_gamma(c - b))
-        g2 = np.exp(ln_gamma(c) + ln_gamma(-s) - ln_gamma(a) - ln_gamma(b))
+        g1, g2 = connection_gammas(a, b, c)
         out[~lo] = g1 * f1 + g2 * w ** s * f2
     return out
 
@@ -204,27 +191,21 @@ def gauss_2f1_regularized(a: complex, b: complex, c: complex, v: float,
                           cfg: SpecFunConfig = _DEFAULT) -> complex:
     """Regularized series 2F1(a,b;c;v)/Gamma(c), entire in c.
 
-    Handles non-positive integer c (the series then starts at k = 1 - c).
-    Converges for |v| < 1; slowly near v = 1.
+    Direct series only, so integer c-a-b is allowed; at c = 1 - m it is
+    (a)_m (b)_m / m! v^m 2F1(a+m, b+m; m+1; v) (DLMF 15.2.3_5).  Converges
+    for |v| < 1; slowly near v = 1.
     """
     if not (0.0 <= v < 1.0):
         raise ValueError(f"argument must lie in [0, 1), got {v}")
-    if _is_nonpositive_int(c):
-        m = int(round(1 - c.real))  # first index with c + k = 1
-        lead = 1.0 + 0.0j
-        for p in range(m):  # (a)_m (b)_m / m!
-            lead *= (a + p) * (b + p) / (p + 1)
-        term = lead * v ** m
-        acc = term
-        k = m
-        for _ in range(cfg.max_terms):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * v
-            acc += term
-            k += 1
-            if abs(term) <= cfg.series_tol * max(abs(acc), 1e-300):
-                return acc
-        raise AccuracyError("regularized 2F1 series did not converge")
-    return _series_2f1(a, b, c, v, cfg) * np.exp(-ln_gamma(c))
+    vs = np.array([v], dtype=float)
+    c = complex(c)
+    if not _is_nonpositive_int(c):
+        return complex(_series_2f1_array(a, b, c, vs, cfg)[0] * np.exp(-ln_gamma(c)))
+    m = int(round(1 - c.real))
+    lead = 1.0 + 0.0j
+    for p in range(m):  # (a)_m (b)_m / m!
+        lead *= (a + p) * (b + p) / (p + 1)
+    return complex(lead * v ** m * _series_2f1_array(a + m, b + m, m + 1.0, vs, cfg)[0])
 
 
 def assoc_legendre_P(degree: float, order: float, u: float,
@@ -362,21 +343,24 @@ def norm_K(alpha: int, n: int, l: int, rho: float) -> float:
     """Normalization constants of the hyperbolic plane waves.
 
     alpha = 1 is the odd family, alpha = 2 the even one.  Both expressions
-    carry sinh(pi rho) in the denominator, so rho = 0 is a pole.
+    carry sinh(pi rho) in the denominator, so rho = 0 is a pole.  Built
+    in log space, so large rho neither overflows nor underflows.
     """
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
     if rho <= 0:
         raise PoleError("normalization constants need rho > 0")
-    cosf = math.cos((n - 1) * math.pi / 2.0)
-    g_lo = abs_gamma_sq(0.5 * (1j * rho + l + 0.5 * (n - 1)))
-    g_hi = abs_gamma_sq(0.5 * (1j * rho + l + 0.5 * (n + 1)))
-    sign = (-1.0) ** l
+    # ln |Gamma(lo)|^2 / |Gamma(hi)|^2 with lo, hi = (i rho + l + (n -+ 1)/2) / 2
+    ln_ratio = 2.0 * float(ln_gamma(0.5 * (1j * rho + l + 0.5 * (n - 1))).real
+                           - ln_gamma(0.5 * (1j * rho + l + 0.5 * (n + 1))).real)
+    # (cosh x + c) / sinh x = ((1 - e)^2 + 2 (1 + c) e) / ((1 - e)(1 + e)) at
+    # x = pi rho, e = e^{-x}: no overflow, and no cancellation at small rho
+    c = (-1.0) ** l * math.cos((n - 1) * math.pi / 2.0)
     if alpha == 1:
-        return math.pi * (math.cosh(math.pi * rho) - sign * cosf) * g_lo / (
-            math.sinh(math.pi * rho) * g_hi)
-    return math.pi * (math.cosh(math.pi * rho) + sign * cosf) * g_hi / (
-        math.sinh(math.pi * rho) * g_lo)
+        c, ln_ratio = -c, -ln_ratio
+    e = math.exp(-math.pi * rho)
+    d = -math.expm1(-math.pi * rho)
+    return math.pi * (d * d + 2.0 * (1.0 + c) * e) / (d * (1.0 + e)) * math.exp(-ln_ratio)
 
 
 def d_abs(n: int, j: int, k: int, rho: float) -> float:
@@ -385,7 +369,8 @@ def d_abs(n: int, j: int, k: int, rho: float) -> float:
     |d| = (2 pi)^{-(n+1)/2} |Gamma((n-1)/2 + i rho)| / |Gamma(-i rho)| times
     a parity factor: pi sqrt(2 (1 + tanh(pi rho))) for even n, and
     pi (1 + tanh(pi rho / 2)) or pi (1 + coth(pi rho / 2)) for odd n
-    according to whether n - 1 + 2(j - k) is a multiple of 4.
+    according to whether n - 1 + 2(j - k) is a multiple of 4.  The Gamma
+    moduli enter as a log ratio: each alone underflows at large rho.
 
     The even-n factor carries tanh (the value the intertwiner integrals
     actually produce); see the accompanying oracle in the limits module.
@@ -393,8 +378,8 @@ def d_abs(n: int, j: int, k: int, rho: float) -> float:
     if rho <= 0:
         raise PoleError("d(rho) needs rho > 0")
     base = ((2.0 * math.pi) ** (-0.5 * (n + 1))
-            * math.sqrt(abs_gamma_sq(0.5 * (n - 1) + 1j * rho)
-                        / abs_gamma_sq(-1j * rho)))
+            * math.exp(float(ln_gamma(0.5 * (n - 1) + 1j * rho).real
+                             - ln_gamma(-1j * rho).real)))
     if n % 2 == 0:
         factor = math.pi * math.sqrt(2.0 * (1.0 + math.tanh(math.pi * rho)))
     elif (n - 1 + 2 * (j - k)) % 4 == 0:

@@ -29,7 +29,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from . import specfun
 from .errors import UnsupportedCaseError
 from .geometry import sphere_point
-from .planewave import HyperWave, PrincipalMass, radial_profile
+from .planewave import HyperWave, PrincipalMass, _two_branch, radial_profile
 from .specfun import HarmonicIndex, harmonic_indices, hypersph_Y
 
 __all__ = [
@@ -127,6 +127,8 @@ class QuadratureGrid:
     rho_weights: np.ndarray
     l_max: int
     m_max: int | None = None
+    # (rho, alphas) -> (mode keys, Psi tables), filled by _mode_matrix
+    mode_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def build(n: int, beta_max: float = 12.0, n_beta: int = 10,
@@ -276,22 +278,16 @@ def wavepacket_ambient(spec: WavepacketSpec, x, full_output: bool = False):
     noise estimate is the roundoff scale of the node sum.
     """
     mass = spec.mass
-    cfg = mass.cfg
     xi, w = spec.cap_nodes()
     fhat = spec.profile.value(xi[:, 1:])
-    d2 = specfun.d_abs(cfg.n, spec.d_sector[0], spec.d_sector[1],
+    d2 = specfun.d_abs(mass.cfg.n, spec.d_sector[0], spec.d_sector[1],
                        mass.mu_prime) ** 2
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
     s = -np.outer(pts[:, 0], xi[:, 0]) + pts[:, 1:] @ xi[:, 1:].T  # (np, nxi)
-    wmod = np.abs(s) / (mass.mu * cfg.R)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.exp(mass.sigma * np.log(wmod))
-    damp = np.exp(-math.pi * (0.5j * (cfg.n - 1) + mass.mu_prime))
-    vals = np.where(s > 0, vals, damp * vals)
     mask = s == 0.0
-    vals = np.where(mask, 0.0, vals)
+    vals = np.where(mask, 0.0, _two_branch(mass, s))
     out = d2 * (vals * (w * fhat)[None, :]).sum(axis=1)
     if full_output:
         rep = WavepacketReport(dropped_nodes=int(mask.sum()),
@@ -332,21 +328,14 @@ def wavepacket_hyper(coeffs: HyperCoeffs, beta, phis, phi):
 # ------------------------------------------------- hyperbolic Fourier pair
 
 
-_MODE_CACHE: "weakref.WeakKeyDictionary" = None  # set below
-
-
 def _mode_matrix(n: int, rho: float, grid: QuadratureGrid,
                  alphas=(1, 2)) -> tuple[list, np.ndarray]:
     """Mode keys and Psi values on the product grid, shape (nmode, nb, ns).
 
-    Cached per grid object: forward and inverse passes at the same rho
-    nodes reuse the matrices.
+    Cached on the grid object: forward and inverse passes at the same rho
+    nodes reuse the matrices, which live as long as the grid.
     """
-    global _MODE_CACHE
-    if _MODE_CACHE is None:
-        import weakref
-        _MODE_CACHE = weakref.WeakKeyDictionary()
-    store = _MODE_CACHE.setdefault(grid, {})
+    store = grid.mode_tables
     key = (float(rho), tuple(alphas))
     if key in store:
         return store[key]

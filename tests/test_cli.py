@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from dswave.cli import load_config, main
 
 RUN = [sys.executable, "-m", "dswave.cli"]
@@ -83,6 +85,14 @@ def test_verify_algebra_passes(tmp_path):
     assert r.returncode == 0
     assert "PASS" in r.stdout
     assert (tmp_path / "verify_algebra.csv").exists()
+
+
+@pytest.mark.parametrize("suite", ["appendix", "contract"])
+def test_verify_suite_passes(tmp_path, suite):
+    r = run_cli(["--out", str(tmp_path), "verify", suite])
+    assert r.returncode == 0
+    assert "FAIL" not in r.stdout
+    assert (tmp_path / f"verify_{suite}.csv").exists()
 
 
 def test_contract_command(tmp_path):

@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dswave import lorentz, planewave
-from dswave.errors import ComplementarySeriesError, OnSingularSurfaceError
+from dswave.errors import (AccuracyError, ComplementarySeriesError,
+                           OnSingularSurfaceError)
 from dswave.geometry import (HyperChart, SpacetimeConfig, from_hyper,
                              minkowski_dot, origin)
 from dswave.planewave import (AmbientWave, HyperWave, asymptotic_leading,
@@ -241,6 +243,35 @@ def test_parity_rule_and_reflection():
                         rtol=1e-12)
         assert_allclose(radial_profile(w_even, -b), radial_profile(w_even, b),
                         rtol=1e-12)
+
+
+def _radial_profile_mp(wave, beta):
+    """V(beta) with the 2F1 and the envelope in mpmath."""
+    a, b, c = hyper_2f1_params(wave)
+    pre = 2 * mp.tanh(beta) if wave.alpha == 1 else 1
+    env = mp.cosh(beta) ** mp.mpc(-0.5 * (wave.n - 1), wave.rho)
+    K = norm_K(wave.alpha, wave.n, wave.idx.top, wave.rho)
+    return complex(pre * mp.hyp2f1(a, b, c, mp.tanh(beta) ** 2) * env / mp.sqrt(K))
+
+
+def test_radial_profile_large_beta_vs_mpmath():
+    # cosh(beta)^2 overflows near |beta| = 355; at 360 1 - tanh^2 needs
+    # about 320 digits in mpmath
+    with mp.workdps(340):
+        for n in (2, 3):
+            for alpha in (1, 2):
+                wave = HyperWave(alpha, 1.3, HarmonicIndex(n, 1, (1,) * (n - 2)))
+                for beta in (-360.0, 360.0):
+                    ref = _radial_profile_mp(wave, mp.mpf(beta))
+                    assert_allclose(complex(radial_profile(wave, beta)), ref,
+                                    rtol=1e-9)
+
+
+def test_radial_profile_beyond_sech2_range_raises():
+    wave = HyperWave(2, 1.3, HarmonicIndex(2, 1, ()))
+    for beta in (372.0, -400.0, 800.0):
+        with pytest.raises(AccuracyError):
+            radial_profile(wave, np.array([0.5, beta]))
 
 
 def test_connection_constants_conjugate_pair():

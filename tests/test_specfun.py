@@ -114,11 +114,19 @@ def test_2f1_degenerate_case_raises():
 
 
 def test_2f1_array_matches_scalar():
+    # gauss_2f1 is a one-point call of the array kernel, so the reference
+    # is mpmath
     a, b, c = 0.75 - 0.4j, -0.25 - 0.4j, 0.5
     vs = np.array([0.0, 0.2, 0.5, 0.8, 0.999])
     arr = gauss_2f1_array(a, b, c, vs)
     for v, got in zip(vs, arr):
-        assert_allclose(got, gauss_2f1(a, b, c, float(v)), rtol=1e-12)
+        assert_allclose(got, complex(mp.hyp2f1(a, b, c, float(v))), rtol=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_2f1_array_pole_raises(c):
+    with pytest.raises(PoleError):
+        gauss_2f1_array(0.5, 0.5, c, np.array([0.2, 0.7]))
 
 
 # --------------------------------------------------------------- Legendre
@@ -138,6 +146,16 @@ def test_assoc_legendre_vs_mpmath():
         mine = assoc_legendre_P(deg, order, u)
         ref = float(mp.re(mp.legenp(deg, order, u)))
         assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_assoc_legendre_integer_orders_vs_mpmath():
+    # integer orders run the regularized 2F1 through its c = 1 - m limit
+    for order in (1.0, 2.0, 3.0):
+        for deg in (0.5, 3.0, 3.7):
+            for u in (-0.6, 0.25, 0.8):
+                mine = assoc_legendre_P(deg, order, u)
+                ref = float(mp.re(mp.legenp(deg, order, u)))
+                assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 def test_assoc_legendre_recurrence():
@@ -329,6 +347,21 @@ def test_norm_K_n3_half_angle_branches():
                         math.pi * branch * g_lo / g_hi, rtol=1e-12)
 
 
+@pytest.mark.parametrize("rho", [300.0, 500.0])
+def test_norm_K_large_rho_vs_mpmath(rho):
+    # each Gamma modulus and cosh(pi rho) leave the float range here
+    r = mp.mpf(rho)
+    for n in (2, 3):
+        for l in (0, 1):
+            c = (-1) ** l * mp.cos((n - 1) * mp.pi / 2)
+            ratio = (abs(mp.gamma((1j * r + l + mp.mpf(n - 1) / 2) / 2)) ** 2
+                     / abs(mp.gamma((1j * r + l + mp.mpf(n + 1) / 2) / 2)) ** 2)
+            k1 = mp.pi * (mp.cosh(mp.pi * r) - c) * ratio / mp.sinh(mp.pi * r)
+            k2 = mp.pi * (mp.cosh(mp.pi * r) + c) / (ratio * mp.sinh(mp.pi * r))
+            assert_allclose(norm_K(1, n, l, rho), float(k1), rtol=1e-11)
+            assert_allclose(norm_K(2, n, l, rho), float(k2), rtol=1e-11)
+
+
 # ------------------------------------------------------------------ |d|
 
 
@@ -356,3 +389,19 @@ def test_d_abs_positive_and_case_selector():
 def test_d_abs_pole():
     with pytest.raises(PoleError):
         d_abs(2, 0, 0, 0.0)
+
+
+@pytest.mark.parametrize("rho", [300.0, 500.0])
+def test_d_abs_large_rho_vs_mpmath(rho):
+    # |Gamma(-i rho)|^2 underflows here
+    r = mp.mpf(rho)
+    for n, j, k in ((2, 0, 0), (3, 0, 0), (3, 1, 0), (4, 0, 0)):
+        base = ((2 * mp.pi) ** (-mp.mpf(n + 1) / 2)
+                * abs(mp.gamma(mp.mpf(n - 1) / 2 + 1j * r)) / abs(mp.gamma(-1j * r)))
+        if n % 2 == 0:
+            factor = mp.pi * mp.sqrt(2 * (1 + mp.tanh(mp.pi * r)))
+        elif (n - 1 + 2 * (j - k)) % 4 == 0:
+            factor = mp.pi * (1 + mp.tanh(mp.pi * r / 2))
+        else:
+            factor = mp.pi * (1 + mp.coth(mp.pi * r / 2))
+        assert_allclose(d_abs(n, j, k, rho), float(base * factor), rtol=1e-11)
