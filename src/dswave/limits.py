@@ -417,42 +417,73 @@ def _bessel_product_series(eta: float, nu: float, terms: int = 24) -> np.ndarray
     return prod
 
 
-def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps: float,
+# panels per block of the nested eps tail (bounds the nodes held at once)
+_TAIL_BLOCK_PANELS = 2048
+
+
+def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
                          y_split: float = 2.0, panel: float = math.pi / 2.0,
-                         n_nodes: int = 16, damp_span: float = 34.0) -> complex:
+                         n_nodes: int = 16,
+                         damp_span: float = 34.0) -> complex | np.ndarray:
     """Regularized integral of y^{i rho} J_eta(y) J_nu(y) e^{-eps y}.
 
     eta = (n + 2j - 2)/2 and nu = -1/2 (k even) or +1/2 (k odd).  The
     oscillatory-at-the-origin factor y^{i rho} is handled by a power-series
     panel on [0, y_split] (term-wise closed-form integration); the tail by
-    Gauss panels out to where the damping has cut off.
+    Gauss panels out to where the damping has cut off,
+    ymax = max(damp_span/eps, y_split + 20).
+
+    eps is a positive finite scalar (the result is a complex) or a 1-D
+    array (one value per eps, in input order).  Every eps shares y_split,
+    the panel width and the Gauss rule, so its panel edges
+    arange(y_split, ymax + panel, panel) are a prefix of those of the
+    smallest eps: the undamped integrand is evaluated once over the
+    longest range, in blocks of _TAIL_BLOCK_PANELS panels, and each eps
+    accumulates its e^{-eps y}-weighted sum over its own prefix.
     """
+    eps_arr = np.asarray(eps, dtype=float)
+    if eps_arr.ndim > 1 or eps_arr.size == 0:
+        raise ValueError("eps must be a scalar or a non-empty 1-D array")
+    if not np.all(np.isfinite(eps_arr) & (eps_arr > 0.0)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    eps_vec = np.atleast_1d(eps_arr)
     eta = 0.5 * (n + 2 * j - 2)
     nu = 0.5 if k % 2 else -0.5
     a_p = _bessel_product_series(eta, nu)
     # series panel: sum_p a_p 2^{-(eta+nu+2p)} sum_r (-eps)^r/r! *
     #               y_split^{w+1}/(w+1),  w = eta+nu+2p+r+i rho
-    val = 0.0 + 0.0j
+    val = np.zeros(eps_vec.size, dtype=complex)
     for p, ap in enumerate(a_p):
         if ap == 0.0:
             continue
         base = eta + nu + 2 * p
         scale = ap * 2.0 ** (-base)
-        fr = 1.0
+        fr = np.ones(eps_vec.size)
         for r in range(18):
             w = base + r + 1j * rho
             val += scale * fr * y_split ** (w + 1.0) / (w + 1.0)
-            fr *= (-eps) / (r + 1)
-    # Gauss panels for the tail
-    ymax = max(damp_span / eps, y_split + 20.0)
+            fr *= (-eps_vec) / (r + 1)
+    # Gauss panels for the tail, nested over eps
+    def tail_edges(e):
+        return np.arange(y_split, max(damp_span / e, y_split + 20.0) + panel,
+                         panel)
+
+    counts = [tail_edges(e).size - 1 for e in eps_vec]
+    edges = tail_edges(eps_vec.min())
     xg, wg = roots_legendre(n_nodes)
-    edges = np.arange(y_split, ymax + panel, panel)
-    los, his = edges[:-1], edges[1:]
-    yy = 0.5 * (his - los)[:, None] * xg[None, :] + 0.5 * (his + los)[:, None]
-    ww = 0.5 * (his - los)[:, None] * wg[None, :]
-    f = (yy ** (1j * rho) * specfun.bessel_j(eta, yy) * specfun.bessel_j(nu, yy)
-         * np.exp(-eps * yy))
-    return val + complex(np.sum(ww * f))
+    for start in range(0, edges.size - 1, _TAIL_BLOCK_PANELS):
+        block = edges[start:start + _TAIL_BLOCK_PANELS + 1]
+        los, his = block[:-1], block[1:]
+        yy = (0.5 * (his - los)[:, None] * xg[None, :]
+              + 0.5 * (his + los)[:, None]).ravel()
+        ww = (0.5 * (his - los)[:, None] * wg[None, :]).ravel()
+        g = (ww * yy ** (1j * rho) * specfun.bessel_j(eta, yy)
+             * specfun.bessel_j(nu, yy))
+        for i, (e, c) in enumerate(zip(eps_vec, counts)):
+            m = (min(c, start + his.size) - start) * n_nodes
+            if m > 0:
+                val[i] += np.sum(g[:m] * np.exp(-e * yy[:m]))
+    return complex(val[0]) if eps_arr.ndim == 0 else val
 
 
 def appendix_d_oracle(n: int, j: int, k: int, rho: float,
@@ -465,14 +496,17 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
     eps -> 0 value is extracted by least squares against the basis
     {eps^m, eps^{m - i rho}}, m = 0..fit_order; |d| is then assembled as
     |Gamma((n-1)/2 + i rho)| e^{pi rho/2} / ((2 pi)^{(n+1)/2} |I|).
+    All I(eps) come from one bessel_pair_integral call, whose tail pass is
+    shared by every eps.
 
     Raises AccuracyError when the extrapolation is unstable (leave-one-out
-    spread above rel_check).
+    spread above rel_check), and ValueError for an eps that is not
+    positive and finite.
     """
     if eps_values is None:
         eps_values = np.geomspace(2e-3, 1.5e-1, 10)
     eps = np.asarray(eps_values, dtype=float)
-    vals = np.array([bessel_pair_integral(n, j, k, rho, e) for e in eps])
+    vals = bessel_pair_integral(n, j, k, rho, eps)
     cols = []
     for m in range(fit_order + 1):
         cols.append(eps ** m)

@@ -330,13 +330,25 @@ def sphere_laplacian_eigenvalue(idx: HarmonicIndex) -> float:
 
 
 def bessel_j(nu: float, x):
-    """Bessel function of the first kind J_nu(x), nu >= -1/2, x >= 0."""
+    """Bessel function of the first kind J_nu(x), nu >= -1/2, x >= 0.
+
+    The orders +-1/2 are elementary (DLMF 10.16.1):
+    J_{1/2}(x) = sqrt(2/(pi x)) sin x and J_{-1/2}(x) = sqrt(2/(pi x)) cos x,
+    with the limits 0 and inf at x = 0.  Every other order is scipy's jv.
+    """
     if nu < -0.5:
         raise ValueError(f"order must be >= -1/2, got {nu}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("argument must be non-negative")
-    return _scipy_jv(nu, x)
+    if abs(nu) != 0.5:
+        return _scipy_jv(nu, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        env = np.sqrt(2.0 / (math.pi * x))
+        if nu < 0:
+            return env * np.cos(x)
+        # env * sin x is inf * 0 at the origin, where J_{1/2} vanishes
+        return np.where(x == 0.0, 0.0, env * np.sin(x))[()]
 
 
 def norm_K(alpha: int, n: int, l: int, rho: float) -> float:

@@ -514,6 +514,17 @@ class ConeSpectrum:
         return complex(self.values[tauprime][theta_index, rho_index])
 
 
+def _intertwiner_exponent_phase(grid: ConeGrid, rho: float,
+                                forward: bool) -> tuple[complex, complex]:
+    """Exponent E = -(n-1)/2 -+ i rho of the angular kernel |a|^E and the
+    Theta phase e^{i pi ((n-1)/2 (+-1) + i rho)} of its a < 0 branch
+    (upper signs forward, lower inverse)."""
+    E = complex(-0.5 * (grid.n - 1), -rho if forward else rho)
+    phase = complex(np.exp(1j * math.pi * (0.5 * (grid.n - 1)
+                                           * (1 if forward else -1) + 1j * rho)))
+    return E, phase
+
+
 def intertwiner_symbol(grid: ConeGrid, rho: float, forward: bool,
                        sector: int, j) -> np.ndarray:
     """Exact circle symbol of the angular intertwiner on mode e^{ij theta}.
@@ -523,9 +534,7 @@ def intertwiner_symbol(grid: ConeGrid, rho: float, forward: bool,
     [phase (-1)^j or 1] * 2^{-E} 2 pi Gamma(1+2E)/(Gamma(1+E+j)Gamma(1+E-j)),
     the exponent continuation of the classical |1 - e^{iu}|^{2s} expansion.
     """
-    E = complex(-0.5 * (grid.n - 1), -rho if forward else rho)
-    phase = complex(np.exp(1j * math.pi * (0.5 * (grid.n - 1)
-                                           * (1 if forward else -1) + 1j * rho)))
+    E, phase = _intertwiner_exponent_phase(grid, rho, forward)
     lg = specfun.ln_gamma
     j = np.atleast_1d(np.asarray(j, dtype=int))
     base = np.array([np.exp(lg(1 + 2 * E) - lg(1 + E + jj) - lg(1 + E - jj))
@@ -559,9 +568,7 @@ def _intertwiner_matrix(grid: ConeGrid, rho: float, forward: bool,
         idx = (np.arange(nt)[None, :] - np.arange(nt)[:, None]) % nt
         return row[idx]
     dth = 2.0 * math.pi / nt
-    E = complex(-0.5, -rho if forward else rho)
-    phase = complex(np.exp(1j * math.pi * (0.5 * (grid.n - 1) * (1 if forward else -1)
-                                           + 1j * rho)))
+    E, phase = _intertwiner_exponent_phase(grid, rho, forward)
     offs = np.arange(nt) * dth
     a = -sector + np.cos(offs)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -312,6 +312,41 @@ def test_bessel_pair_integral_vs_closed_form():
         assert abs(coef[0] - ref) / abs(ref) < 1e-6
 
 
+@pytest.mark.parametrize("eps", [
+    np.geomspace(2e-3, 1.5e-1, 10),
+    np.array([0.07, 2e-3, 0.15, 0.011, 0.03]),
+    np.array([0.4, 1.6, 3.0]),  # 34/eps < 22: ymax floors at y_split + 20
+], ids=["default", "unsorted", "floor"])
+def test_bessel_pair_integral_array_matches_scalar(eps):
+    # one nested tail pass for all eps equals one pass per eps
+    for (n, j, k, rho) in [(2, 0, 0, 1.0), (3, 1, 1, 0.5), (4, 2, 1, 2.0)]:
+        scalar = [bessel_pair_integral(n, j, k, rho, float(e)) for e in eps]
+        assert all(type(v) is complex for v in scalar)
+        nested = bessel_pair_integral(n, j, k, rho, eps)
+        assert nested.shape == eps.shape
+        assert np.all(np.abs(nested - scalar) <= 1e-13 * np.abs(scalar))
+
+
+@pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
+def test_bessel_pair_integral_rejects_zero_or_nonfinite_eps(eps):
+    with pytest.raises(ValueError, match="positive and finite"):
+        bessel_pair_integral(2, 0, 0, 1.0, eps)
+
+
+def test_bessel_pair_integral_rejects_negative_eps():
+    # a negative eps would truncate the integral of a growing integrand
+    with pytest.raises(ValueError, match="positive and finite"):
+        bessel_pair_integral(2, 0, 0, 1.0, -0.01)
+    with pytest.raises(ValueError, match="positive and finite"):
+        bessel_pair_integral(2, 0, 0, 1.0, np.array([0.01, -0.01]))
+
+
+def test_appendix_oracle_rejects_zero_eps():
+    with pytest.raises(ValueError, match="positive and finite"):
+        appendix_d_oracle(2, 0, 0, 1.0,
+                          eps_values=[0.0, *np.geomspace(2e-3, 1.5e-1, 9)])
+
+
 def test_parity_selector_in_bessel_order():
     # k even pairs with J_{-1/2}, k odd with J_{+1/2}: at small eps the two
     # integrals differ

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -270,11 +271,23 @@ def test_harmonic_indices_enumeration():
 
 
 def test_bessel_half_integer_closed_forms():
-    for x in (0.5, 1.0, 7.3):
-        assert_allclose(bessel_j(-0.5, x),
-                        math.sqrt(2.0 / (math.pi * x)) * math.cos(x), rtol=1e-12)
-        assert_allclose(bessel_j(0.5, x),
-                        math.sqrt(2.0 / (math.pi * x)) * math.sin(x), rtol=1e-12)
+    # J_{+-1/2} are evaluated in closed form, so the reference is mpmath
+    for x in (0.5, 1.0, 7.3, 1e3, 1.7e4):
+        envelope = math.sqrt(2.0 / (math.pi * x))
+        for nu in (-0.5, 0.5):
+            ref = float(mp.besselj(nu, x))
+            got = bessel_j(nu, x)
+            assert abs(got - ref) <= 1e-14 * envelope
+            if x < 10.0:
+                assert_allclose(got, ref, rtol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bessel_j(0.5, 0.0) == 0.0
+        assert bessel_j(-0.5, 0.0) == np.inf
+        at_zero = np.array([0.0, 1.0])
+        plus, minus = bessel_j(0.5, at_zero), bessel_j(-0.5, at_zero)
+    assert plus[0] == 0.0 and minus[0] == np.inf
+    assert not np.isnan(plus).any() and not np.isnan(minus).any()
     assert bessel_j(1.5, 0.0) == 0.0
 
 
