@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import specfun
 from .errors import UnsupportedCaseError
-from .geometry import sphere_point
 from .planewave import HyperWave, PrincipalMass, _two_branch, radial_profile
 from .specfun import HarmonicIndex, harmonic_indices, hypersph_Y
 
@@ -97,10 +97,16 @@ class SphereGrid:
         return self.phi.size
 
     def points(self) -> np.ndarray:
-        """Unit vectors of all nodes, shape (size, n)."""
-        out = np.empty((self.size, self.n))
-        for i in range(self.size):
-            out[i] = sphere_point(self.n, [p[i] for p in self.phis], self.phi[i])
+        """Unit vectors of all nodes, shape (size, n): the recursion of
+        geometry.sphere_point applied to whole columns."""
+        n = self.n
+        out = np.empty((self.size, n))
+        run = np.ones(self.size)
+        for k, a in enumerate(self.phis):
+            out[:, n - 1 - k] = run * np.cos(a)
+            run = run * np.sin(a)
+        out[:, 1] = run * np.cos(self.phi)
+        out[:, 0] = run * np.sin(self.phi)
         return out
 
 
@@ -118,7 +124,12 @@ def _beta_panels(beta_max: float, n_nodes: int, panel: float = 1.0):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Node bundle for the hyperbolic transforms (sphere x beta x rho)."""
+    """Node bundle for the hyperbolic transforms (sphere x beta x rho).
+
+    A mode factors as Psi = V_{alpha,top}(beta; rho) Y_idx(Omega), and the
+    grid holds the two factors apart: the harmonic table Y, built once, and
+    per rho the radial rows V, one per (alpha, top label).
+    """
 
     sphere: SphereGrid
     beta_nodes: np.ndarray
@@ -127,7 +138,8 @@ class QuadratureGrid:
     rho_weights: np.ndarray
     l_max: int
     m_max: int | None = None
-    # (rho, alphas) -> (mode keys, Psi tables), filled by _mode_matrix
+    # (rho, alpha) -> radial rows V, shape (n_top, n_beta), filled by
+    # radial_rows
     mode_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
@@ -142,6 +154,34 @@ class QuadratureGrid:
         rw = 0.5 * (hi - lo) * w
         return QuadratureGrid(SphereGrid.build(n, n_polar, n_azimuth),
                               bn, bw, rn, rw, l_max, m_max)
+
+    @cached_property
+    def harmonics(self) -> tuple[list[HarmonicIndex], np.ndarray, np.ndarray]:
+        """(indices, Y, top_row): the harmonic indices with top label <=
+        l_max, their values on the sphere nodes, shape (n_index, n_sphere),
+        and for each index the row of its top label in radial_rows."""
+        sph = self.sphere
+        idxs = harmonic_indices(sph.n, self.l_max, self.m_max)
+        Y = np.stack([hypersph_Y(i, sph.phis, sph.phi) for i in idxs])
+        tops = sorted({i.top for i in idxs})
+        return idxs, Y, np.searchsorted(tops, [i.top for i in idxs])
+
+    def radial_rows(self, rho: float, alpha: int) -> np.ndarray:
+        """V_{alpha,top}(beta_nodes; rho) for each distinct top label in
+        increasing order, shape (n_top, n_beta).
+
+        Cached in mode_tables: forward and inverse passes at the same rho
+        nodes reuse the rows, which live as long as the grid.
+        """
+        key = (float(rho), alpha)
+        rows = self.mode_tables.get(key)
+        if rows is None:
+            idxs, _, top_row = self.harmonics
+            first = np.unique(top_row, return_index=True)[1]
+            rows = np.stack([radial_profile(HyperWave(alpha, rho, idxs[i]),
+                                            self.beta_nodes) for i in first])
+            self.mode_tables[key] = rows
+        return rows
 
     def resolution_report(self) -> dict:
         """Recorded resolution limits of the node bundle.
@@ -314,44 +354,28 @@ class HyperCoeffs:
 
 
 def wavepacket_hyper(coeffs: HyperCoeffs, beta, phis, phi):
-    """Sum chi * Psi over the table at the coefficients' rho; broadcasts."""
+    """Sum chi * Psi over the table at the coefficients' rho; broadcasts.
+
+    Each radial factor is evaluated once per (alpha, top label) and each
+    harmonic once per index, however many modes share them.
+    """
+    radial = {}
+    harmonic = {}
     total = 0.0 + 0.0j
     for (alpha, m, ls), chi in coeffs.table.items():
         if chi == 0.0:
             continue
-        wave = HyperWave(alpha, coeffs.rho, HarmonicIndex(len(ls) + 2, m, ls))
-        total = total + chi * (radial_profile(wave, beta)
-                               * hypersph_Y(wave.idx, phis, phi))
+        idx = HarmonicIndex(len(ls) + 2, m, ls)
+        if (alpha, idx.top) not in radial:
+            radial[alpha, idx.top] = radial_profile(
+                HyperWave(alpha, coeffs.rho, idx), beta)
+        if idx not in harmonic:
+            harmonic[idx] = hypersph_Y(idx, phis, phi)
+        total = total + chi * (radial[alpha, idx.top] * harmonic[idx])
     return total
 
 
 # ------------------------------------------------- hyperbolic Fourier pair
-
-
-def _mode_matrix(n: int, rho: float, grid: QuadratureGrid,
-                 alphas=(1, 2)) -> tuple[list, np.ndarray]:
-    """Mode keys and Psi values on the product grid, shape (nmode, nb, ns).
-
-    Cached on the grid object: forward and inverse passes at the same rho
-    nodes reuse the matrices, which live as long as the grid.
-    """
-    store = grid.mode_tables
-    key = (float(rho), tuple(alphas))
-    if key in store:
-        return store[key]
-    modes = []
-    sph = grid.sphere
-    mats = []
-    for alpha in alphas:
-        for idx in harmonic_indices(n, grid.l_max, grid.m_max):
-            wave = HyperWave(alpha, rho, idx)
-            V = radial_profile(wave, grid.beta_nodes)
-            Y = hypersph_Y(idx, sph.phis, sph.phi)
-            modes.append((alpha, idx.m, idx.ls))
-            mats.append(V[:, None] * Y[None, :])
-    out = (modes, np.stack(mats, axis=0))
-    store[key] = out
-    return out
 
 
 def eval_on_grid(f, grid: QuadratureGrid) -> np.ndarray:
@@ -376,10 +400,17 @@ def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid,
     F = f if isinstance(f, np.ndarray) else eval_on_grid(f, grid)
     meas = (grid.beta_weights * np.cosh(grid.beta_nodes) ** (n - 1))[:, None] \
         * grid.sphere.weights[None, :]
-    modes, mats = _mode_matrix(n, rho, grid, alphas)
-    vals = np.einsum("kbs,bs->k", np.conj(mats), F * meas)
+    idxs, Y, top_row = grid.harmonics
+    G = F * meas
+    Yc = np.conj(Y)
+    # per alpha: conj(V) contracts beta, then each mode's row meets its
+    # harmonic over the sphere
+    vals = np.concatenate([
+        ((np.conj(grid.radial_rows(rho, a)) @ G)[top_row] * Yc).sum(axis=1)
+        for a in alphas])
     out = HyperCoeffs(rho=rho)
-    for key, v in zip(modes, vals):
+    keys = [(a, i.m, i.ls) for a in alphas for i in idxs]
+    for key, v in zip(keys, vals):
         out.table[key] = complex(v)
     mags = np.abs(vals)
     out.tail_bound = float(mags.min() / mags.max()) if mags.max() > 0 else 0.0
@@ -396,7 +427,7 @@ def fourier_hyper_inverse(coeff_field, grid: QuadratureGrid,
     pair forward -> inverse the identity on band-limited fields; False is
     the literal unweighted integral (composition = multiplication by 2/rho).
     """
-    n = grid.sphere.n
+    idxs, Y, top_row = grid.harmonics
     out = np.zeros((grid.beta_nodes.size, grid.sphere.size), dtype=complex)
     tables = (list(coeff_field) if isinstance(coeff_field, (list, tuple))
               else [coeff_field(r) for r in grid.rho_nodes])
@@ -404,10 +435,12 @@ def fourier_hyper_inverse(coeff_field, grid: QuadratureGrid,
         if coeffs is None or not coeffs.table:
             continue
         weight = w * (0.5 * rho if plancherel else 1.0)
-        alphas = tuple(sorted({k[0] for k in coeffs.table}))
-        modes, mats = _mode_matrix(n, rho, grid, alphas)
-        chi = np.array([coeffs[key] for key in modes])
-        out += weight * np.einsum("k,kbs->bs", chi, mats)
+        # (n_beta, n_index): each index's radial rows weighted by chi,
+        # summed over alpha, then one product with the harmonic table
+        M = sum(grid.radial_rows(rho, a)[top_row].T
+                * np.array([coeffs[(a, i.m, i.ls)] for i in idxs])
+                for a in sorted({k[0] for k in coeffs.table}))
+        out += weight * (M @ Y)
     return out
 
 

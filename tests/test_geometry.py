@@ -203,3 +203,14 @@ def test_sphere_point_unit_norm():
         for _ in range(10):
             u = sphere_point(n, rng.uniform(0, np.pi, n - 2), rng.uniform(0, 2 * np.pi))
             assert_allclose(np.linalg.norm(u), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sphere_grid_points_match_sphere_point(n):
+    from dswave.transform import SphereGrid
+    grid = SphereGrid.build(n, n_polar=6, n_azimuth=10)
+    pts = grid.points()
+    assert pts.shape == (grid.size, n)
+    for i in range(grid.size):
+        row = sphere_point(n, [p[i] for p in grid.phis], grid.phi[i])
+        assert np.array_equal(pts[i], row)

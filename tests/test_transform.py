@@ -125,6 +125,21 @@ def test_wavepacket_hyper_single_mode():
                     psi_hyper(wave, ch), rtol=1e-13)
 
 
+def test_wavepacket_hyper_shared_factors():
+    # modes sharing an (alpha, top) radial factor or a harmonic index
+    # (both families, one top label) sum to their plane waves
+    rho = 1.1
+    coeffs = HyperCoeffs(rho=rho)
+    terms = {(2, 0, (1,)): 1.0, (1, 0, (1,)): 0.5j, (2, 1, (1,)): -0.3,
+             (2, -1, (2,)): 0.2 + 0.1j, (1, 1, (2,)): 0.7}
+    coeffs.table.update(terms)
+    ch = HyperChart(0.6, (0.8,), 0.3)
+    expect = sum(c * psi_hyper(HyperWave(a, rho, HarmonicIndex(3, m, ls)), ch)
+                 for (a, m, ls), c in terms.items())
+    assert_allclose(complex(wavepacket_hyper(coeffs, 0.6, [0.8], 0.3)),
+                    expect, rtol=1e-13)
+
+
 def test_wavepacket_hyper_reality_and_smoothness():
     # conjugate-symmetric chi over +-m gives a real field; FD derivative
     # estimates on a fixed-beta slice stay bounded under refinement
@@ -273,6 +288,106 @@ def test_hyper_round_trip_needs_plancherel_weight(hyper_grid):
     assert_allclose(abs(chi_lit[mode]),
                     (2.0 / rho_t) ** 2 * _band_profile(rho_t) * rho_t / 2,
                     rtol=5e-3)
+
+
+# the n = 3 grid of the benchmark's hyper_pair workload
+_GRID3 = dict(beta_max=24.0, n_beta=6, n_rho=48, l_max=2, n_polar=8,
+              n_azimuth=16)
+
+
+def _band_tables(grid, modes):
+    """Band-limited coefficient field: each (mode, amplitude) times the
+    band profile at every rho node."""
+    tables = []
+    for r in grid.rho_nodes:
+        hc = HyperCoeffs(rho=float(r))
+        val = _band_profile(float(r))
+        if val:
+            for key, amp in modes:
+                hc.table[key] = amp * val
+        tables.append(hc)
+    return tables
+
+
+def _weighted_error(F2, F, grid):
+    n = grid.sphere.n
+    meas = (grid.beta_weights * np.cosh(grid.beta_nodes) ** (n - 1))[:, None] \
+        * grid.sphere.weights[None, :]
+    return math.sqrt(float(np.sum(np.abs(F2 - F) ** 2 * meas)
+                           / np.sum(np.abs(F) ** 2 * meas)))
+
+
+def test_hyper_round_trip_band_limited_n3():
+    grid = QuadratureGrid.build(3, rho_window=(0.9, 2.6), **_GRID3)
+    modes = [((2, 1, (1,)), 1.0 + 0.0j), ((1, -1, (2,)), 0.4 - 0.3j),
+             ((1, 0, (0,)), 0.5j)]
+    F = fourier_hyper_inverse(_band_tables(grid, modes), grid)
+    chis = [fourier_hyper_forward(F, float(r), grid) for r in grid.rho_nodes]
+    assert _weighted_error(fourier_hyper_inverse(chis, grid), F, grid) <= 1e-3
+
+
+def _dense_modes(grid, rho):
+    """Mode keys and the dense Psi tensor (n_mode, n_beta, n_sphere)."""
+    sph = grid.sphere
+    keys, mats = [], []
+    for alpha in (1, 2):
+        for idx in specfun.harmonic_indices(sph.n, grid.l_max, grid.m_max):
+            wave = HyperWave(alpha, rho, idx)
+            keys.append((alpha, idx.m, idx.ls))
+            mats.append(np.outer(radial_profile(wave, grid.beta_nodes),
+                                 hypersph_Y(idx, sph.phis, sph.phi)))
+    return keys, np.stack(mats)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hyper_pair_matches_dense_modes(n):
+    # the separable evaluation against the plain sum over the full
+    # Psi = V * Y tensor: a seeded field forward, its coefficients inverse
+    grid = QuadratureGrid.build(n, beta_max=6.0, n_beta=6,
+                                rho_window=(0.9, 2.6), n_rho=4, l_max=2,
+                                n_polar=6, n_azimuth=10)
+    rng = np.random.default_rng(n)
+    shape = (grid.beta_nodes.size, grid.sphere.size)
+    F = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        / np.cosh(grid.beta_nodes)[:, None] ** n
+    meas = (grid.beta_weights * np.cosh(grid.beta_nodes) ** (n - 1))[:, None] \
+        * grid.sphere.weights[None, :]
+    chis = []
+    expect = np.zeros(shape, dtype=complex)
+    for rho, w in zip(grid.rho_nodes, grid.rho_weights):
+        keys, mats = _dense_modes(grid, float(rho))
+        dense = np.einsum("kbs,bs->k", np.conj(mats), F * meas)
+        chi = fourier_hyper_forward(F, float(rho), grid)
+        got = np.array([chi[k] for k in keys])
+        assert sorted(chi.table) == sorted(keys)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+        chis.append(chi)
+        expect += w * 0.5 * rho * np.einsum("k,kbs->bs", got, mats)
+    got = fourier_hyper_inverse(chis, grid)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_hyper_mode_tables_stay_separable():
+    # after a forward and an inverse pass the grid's table cache holds
+    # less than one (n_beta, n_sphere) complex array per rho node: a
+    # per-mode product table would exceed that many times over
+    grid = QuadratureGrid.build(3, rho_window=(0.9, 2.6), **_GRID3)
+    modes = [((2, 1, (1,)), 1.0 + 0.0j), ((1, 0, (2,)), 0.5 + 0.0j)]
+    F = fourier_hyper_inverse(_band_tables(grid, modes), grid)
+    chis = [fourier_hyper_forward(F, float(r), grid) for r in grid.rho_nodes]
+    fourier_hyper_inverse(chis, grid)
+
+    def held(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        if isinstance(obj, (tuple, list)):
+            return sum(held(o) for o in obj)
+        return 0
+
+    cached = sum(held(v) for v in grid.mode_tables.values())
+    assert cached > 0
+    per_rho = grid.beta_nodes.size * grid.sphere.size * np.dtype(complex).itemsize
+    assert cached < grid.rho_nodes.size * per_rho
 
 
 # ------------------------------------------------------------ Mellin pair
