@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import specfun
 from .errors import AccuracyError, OnSingularSurfaceError
@@ -212,6 +211,8 @@ def off_shell_damping(n: int, mu: float, xi_spatial, y, R_values,
     The node count grows with R to resolve the O(R) phase sweep across
     the window.
     """
+    from scipy.special import roots_legendre
+
     xi_sp = np.asarray(xi_spatial, dtype=float)  # length n-1
     y = np.asarray(y, dtype=float)
     lo, hi = mu * window[0], mu * window[1]
@@ -375,6 +376,8 @@ def spectral_smearing_contrast(n: int = 2, rho_center: float = 2.5,
     envelope-normalized modulus |f| e^{(n-1)beta/2}: constant for the
     sharp packet, decaying ever faster with the smearing width.
     """
+    from scipy.special import roots_legendre
+
     from .planewave import HyperWave, radial_profile
     from .specfun import HarmonicIndex
 
@@ -441,6 +444,8 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
     longest range, in blocks of _TAIL_BLOCK_PANELS panels, and each eps
     accumulates its e^{-eps y}-weighted sum over its own prefix.
     """
+    from scipy.special import roots_legendre
+
     eps_arr = np.asarray(eps, dtype=float)
     if eps_arr.ndim > 1 or eps_arr.size == 0:
         raise ValueError("eps must be a scalar or a non-empty 1-D array")

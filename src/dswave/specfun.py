@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv as _scipy_jv
 
 from .errors import AccuracyError, PoleError, UnsupportedCaseError
 
@@ -342,7 +341,9 @@ def bessel_j(nu: float, x):
     if np.any(x < 0):
         raise ValueError("argument must be non-negative")
     if abs(nu) != 0.5:
-        return _scipy_jv(nu, x)
+        from scipy.special import jv
+
+        return jv(nu, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         env = np.sqrt(2.0 / (math.pi * x))
         if nu < 0:

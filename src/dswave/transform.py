@@ -11,7 +11,9 @@ Three transforms live here:
   fourier_hyper_inverse for the literal unweighted variant);
 * the cone pair: Mellin transform along the generators tensored with the
   angular intertwiner kernel |a|^{-(n-1)/2 -+ i rho} and its Theta-phase
-  terms, realized as matrices on a uniform circle grid (n = 2 desk scale);
+  terms (n = 2 desk scale).  On a uniform circle grid the intertwiner is
+  circulant, so it acts by FFT through its n_theta eigenvalues per rho;
+  no dense n_theta x n_theta matrix is built;
 * the plain Mellin pair on (0, infinity).
 
 Wavepackets are |d(mu')|^2-weighted cap integrals of ambient plane waves
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from . import specfun
 from .errors import UnsupportedCaseError
@@ -75,6 +76,8 @@ class SphereGrid:
 
     @staticmethod
     def build(n: int, n_polar: int = 24, n_azimuth: int = 48) -> "SphereGrid":
+        from scipy.special import roots_jacobi
+
         grids = []
         weights = []
         for k in range(1, n - 1):  # polar angle phi_k, density sin^{n-1-k}
@@ -112,6 +115,8 @@ class SphereGrid:
 
 def _beta_panels(beta_max: float, n_nodes: int, panel: float = 1.0):
     """Gauss-Legendre panels covering [-beta_max, beta_max]."""
+    from scipy.special import roots_legendre
+
     edges = np.linspace(-beta_max, beta_max, max(2, int(2 * beta_max / panel) + 1))
     x, w = roots_legendre(n_nodes)
     nodes = []
@@ -147,6 +152,8 @@ class QuadratureGrid:
               rho_window: tuple[float, float] = (0.25, 4.0), n_rho: int = 48,
               l_max: int = 4, m_max: int | None = None,
               n_polar: int = 24, n_azimuth: int = 48) -> "QuadratureGrid":
+        from scipy.special import roots_legendre
+
         bn, bw = _beta_panels(beta_max, n_beta)
         x, w = roots_legendre(n_rho)
         lo, hi = rho_window
@@ -275,6 +282,8 @@ class WavepacketSpec:
 
     def cap_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(covectors xi = (1, u) on the cap, weights incl. the cone 1/2)."""
+        from scipy.special import roots_legendre
+
         n = self.mass.cfg.n
         u0 = np.asarray(self.profile.center, dtype=float)
         x, w = roots_legendre(self.n_theta)
@@ -451,8 +460,10 @@ def mellin_forward(h, n: int, rho, s_window=(1e-6, 1e6), n_nodes: int = 400):
     """varpi(rho) = integral of h(s) s^{(n-1)/2 - i rho} ds/s on a window.
 
     Uniform trapezoid in v = log s, spectrally accurate once the weighted
-    integrand clears the window.  h must vectorize over s; rho may be an
-    array.
+    integrand clears the window.  h must vectorize over s and may return
+    a batch of functions, shape (..., n_s) on the n_s nodes; the result
+    then has shape (..., n_rho), one product (H w) @ ker^T for the whole
+    batch.  rho may be an array.
     """
     v = np.linspace(math.log(s_window[0]), math.log(s_window[1]), n_nodes)
     dv = v[1] - v[0]
@@ -463,7 +474,7 @@ def mellin_forward(h, n: int, rho, s_window=(1e-6, 1e6), n_nodes: int = 400):
     w = np.full(n_nodes, dv)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return ker @ (H * w)
+    return (H * w) @ ker.T
 
 
 def mellin_inverse(varpi, n: int, s, rho_window=(-40.0, 40.0),
@@ -566,40 +577,48 @@ def intertwiner_symbol(grid: ConeGrid, rho: float, forward: bool,
     (2 cos^2(u/2))^E (sector -1) has Fourier integrals
     [phase (-1)^j or 1] * 2^{-E} 2 pi Gamma(1+2E)/(Gamma(1+E+j)Gamma(1+E-j)),
     the exponent continuation of the classical |1 - e^{iu}|^{2s} expansion.
+    The value depends on |j| only.  One log-Gamma pair gives j = 0, and the
+    ratio lam_{j+1} / lam_j = (E - j) / (1 + E + j) (DLMF 5.5.1) gives every
+    other |j| by one cumulative product.
     """
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
     lg = specfun.ln_gamma
-    j = np.atleast_1d(np.asarray(j, dtype=int))
-    base = np.array([np.exp(lg(1 + 2 * E) - lg(1 + E + jj) - lg(1 + E - jj))
-                     for jj in j], dtype=complex)
-    base *= 2.0 ** (-E) * 2.0 * math.pi
+    aj = np.abs(np.atleast_1d(np.asarray(j, dtype=int)))
+    k = np.arange(aj.max(initial=0))
+    lam = np.empty(k.size + 1, dtype=complex)
+    lam[0] = 2.0 ** (-E) * 2.0 * math.pi * np.exp(lg(1 + 2 * E) - 2 * lg(1 + E))
+    lam[1:] = lam[0] * np.cumprod((E - k) / (1 + E + k))
     if sector == 1:
-        return phase * (-1.0) ** np.abs(j) * base
-    return base
+        return phase * (-1.0) ** aj * lam[aj]
+    return lam[aj]
 
 
-def _intertwiner_matrix(grid: ConeGrid, rho: float, forward: bool,
-                        sector: int, method: str = "direct") -> np.ndarray:
-    """Circulant kernel matrix of the angular intertwiner on the circle.
+def _intertwiner_eigs(grid: ConeGrid, rho: float, forward: bool,
+                      sector: int, method: str = "direct") -> np.ndarray:
+    """Eigenvalues of the angular intertwiner on the circle, in
+    np.fft.fftfreq order: the operator is g -> ifft(eigs * fft(g)).
 
-    sector = t' tau' (+1 or -1) fixes the sign of a = -sector + cos(dtheta);
-    rows are output angles, columns input angles.  method "direct" is the
-    node-exclusion quadrature: the kernel's isolated zero (dtheta = 0 for
-    sector +1, pi for sector -1) is handled by an analytic pole window
-    where the smooth factor is fitted from nearby columns and the
-    |u|^{2E+k} moments integrated in closed form, continued in the exponent
-    (Re(2E+1) = 0 at n = 2 is the borderline homogeneity).  method
-    "spectral" realizes the circulant from the exact symbol and serves as
-    the oracle for the direct realization.
+    sector = t' tau' (+1 or -1) fixes the sign of a = -sector + cos(dtheta).
+    On the uniform grid the kernel matrix is circulant,
+    [i_out, j_in] = row[(j - i) mod n_theta], so its eigenvalues are
+    n_theta * ifft(row).  method "spectral" returns the exact symbol.
+    method "direct" is the node-exclusion quadrature of the row: the
+    kernel's isolated zero (dtheta = 0 for sector +1, pi for sector -1) is
+    handled by an analytic pole window where the smooth factor is fitted
+    from nearby columns and the |u|^{2E+k} moments integrated in closed
+    form, continued in the exponent (Re(2E+1) = 0 at n = 2 is the
+    borderline homogeneity).  It serves as the independent check of the
+    symbol, and needs the 2 fit_cells + 1 fit columns around the pole to
+    fit on the circle without wrapping.
     """
     nt = grid.n_theta
     if method == "spectral":
-        # row of the circulant = inverse DFT of the symbol on the frequencies
         freqs = np.fft.fftfreq(nt, d=1.0 / nt).astype(int)
-        lam = intertwiner_symbol(grid, rho, forward, sector, np.abs(freqs))
-        row = np.fft.ifft(lam)
-        idx = (np.arange(nt)[None, :] - np.arange(nt)[:, None]) % nt
-        return row[idx]
+        return intertwiner_symbol(grid, rho, forward, sector, freqs)
+    if nt < 2 * grid.fit_cells + 1:
+        raise UnsupportedCaseError(
+            f"method 'direct' needs n_theta >= {2 * grid.fit_cells + 2} "
+            f"(2 fit_cells + 1 columns around the pole, even), got {nt}")
     dth = 2.0 * math.pi / nt
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
     offs = np.arange(nt) * dth
@@ -613,30 +632,27 @@ def _intertwiner_matrix(grid: ConeGrid, rho: float, forward: bool,
     w = grid.pole_cells * dth + 0.5 * dth  # window edge between cells
     row = ker * dth
     # zero out the window cells (pole cell and pole_cells neighbours each side)
-    win_idx = [(pole_at + k) % nt for k in range(-grid.pole_cells, grid.pole_cells + 1)]
-    for idx in win_idx:
-        row[idx] = 0.0
+    row[(pole_at + np.arange(-grid.pole_cells, grid.pole_cells + 1)) % nt] = 0.0
 
     # product integration on the cells flanking the window: |u|^{2E}
     # oscillates in log u too fast there for plain midpoint weights, so the
     # kernel mass and first moment of each cell are integrated in closed
     # form, with the input's node value and central-difference slope
     span = min(grid.filon_cells, nt // 2 - 1)
+    k = np.arange(grid.pole_cells + 1, span + 1)
+    u_k = k * dth
+    lo, hi = (k - 0.5) * dth, (k + 0.5) * dth
+    mass = (hi ** (2 * E + 1.0) - lo ** (2 * E + 1.0)) / (2 * E + 1.0)
+    mom1 = ((hi ** (2 * E + 2.0) - lo ** (2 * E + 2.0)) / (2 * E + 2.0)
+            - u_k * mass)
+    scale = branch * np.exp(E * np.log(2.0 * np.sin(u_k / 2.0) ** 2 / u_k**2))
     grads = np.zeros(nt, dtype=complex)
-    for k in range(grid.pole_cells + 1, span + 1):
-        for sgn in (1, -1):
-            u_j = k * dth
-            lo, hi = (k - 0.5) * dth, (k + 0.5) * dth
-            mass = (hi ** (2 * E + 1.0) - lo ** (2 * E + 1.0)) / (2 * E + 1.0)
-            mom1 = ((hi ** (2 * E + 2.0) - lo ** (2 * E + 2.0)) / (2 * E + 2.0)
-                    - u_j * mass)
-            q_j = 2.0 * math.sin(u_j / 2.0) ** 2 / u_j**2
-            scale = branch * np.exp(E * np.log(q_j))
-            row[(pole_at + sgn * k) % nt] = scale * mass
-            # slope term: d/d(theta) = sgn * d/du on this side of the pole
-            grad = sgn * scale * mom1 / (2.0 * dth)
-            grads[(pole_at + sgn * k + 1) % nt] += grad
-            grads[(pole_at + sgn * k - 1) % nt] -= grad
+    for sgn in (1, -1):
+        row[(pole_at + sgn * k) % nt] = scale * mass
+        # slope term: d/d(theta) = sgn * d/du on this side of the pole
+        grad = sgn * scale * mom1 / (2.0 * dth)
+        np.add.at(grads, (pole_at + sgn * k + 1) % nt, grad)
+        np.add.at(grads, (pole_at + sgn * k - 1) % nt, -grad)
     row = row + grads
 
     # pole-window correction: fit g(u) from the fit_cells nearest columns on
@@ -655,15 +671,27 @@ def _intertwiner_matrix(grid: ConeGrid, rho: float, forward: bool,
     for k in range(0, grid.fit_degree + 1, 2):
         mom[k] = 2.0 * w ** (2.0 * E + k + 1.0) / ((2.0 * E + k + 1.0) * scale**k)
     # weights applied to the sampled columns; q^E folds into the fit samples
-    wfit = branch * (mom @ P) * qE
-    cols = [(pole_at + k) % nt for k in fit_off]
-    row = row.astype(complex)
-    for c, wf in zip(cols, wfit):
-        row[c] += wf
+    row[(pole_at + fit_off) % nt] += branch * (mom @ P) * qE
+    return nt * np.fft.ifft(row)
 
-    # circulant: entry [i_out, j_in] = row[(j - i) mod nt]
-    idx = (np.arange(nt)[None, :] - np.arange(nt)[:, None]) % nt
-    return row[idx]
+
+def _sheet_eigs(grid: ConeGrid, rho_nodes: np.ndarray, forward: bool,
+                method: str) -> dict:
+    """sector -> intertwiner eigenvalues at every rho node, shape
+    (n_theta, n_rho)."""
+    return {sec: np.stack([_intertwiner_eigs(grid, rho, forward, sec, method)
+                           for rho in rho_nodes], axis=1)
+            for sec in (1, -1)}
+
+
+def _apply_sheets(eigs: dict, sheets: dict, tau_weight: str) -> dict:
+    """out[b] = sum over a of sgn(a) A_{a b} sheets[a], columnwise in rho,
+    with A_{a b} the intertwiner of sector a b: one fft per input sheet
+    along theta, one ifft per output sheet."""
+    spec = {a: (a if tau_weight == "signed" else 1.0)
+            * np.fft.fft(sheets[a], axis=0) for a in (1, -1)}
+    return {b: np.fft.ifft(eigs[b] * spec[1] + eigs[-b] * spec[-1], axis=0)
+            for b in (1, -1)}
 
 
 def cone_fourier_forward(h: ConeFunction, rho_nodes,
@@ -676,30 +704,21 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
     followed by the angular intertwiner with the forward Theta-phase.
     tau_weight "unsigned" sums both t' = +-1 sheets with weight one (the
     convention the round trip and the parity identities confirm); "signed"
-    weights the t' = -1 sheet by -1.
+    weights the t' = -1 sheet by -1.  Each sheet's h values on all
+    directions go through one batched Mellin call.
     """
     grid = grid or ConeGrid(n=h.n, s_window=h.s_window)
     rho_nodes = np.asarray(rho_nodes, dtype=float)
+    eigs = _sheet_eigs(grid, rho_nodes, True, method)
     dirs = grid.directions()
     varpi = {}
     for tprime in (1, -1):
-        rows = []
-        for d in dirs:
-            rows.append(mellin_forward(lambda s: h(s, tprime, d), grid.n,
-                                       rho_nodes, grid.s_window, grid.n_s))
-        varpi[tprime] = np.stack(rows, axis=0)  # (n_theta, n_rho)
-    values = {1: np.zeros((grid.n_theta, rho_nodes.size), dtype=complex),
-              -1: np.zeros((grid.n_theta, rho_nodes.size), dtype=complex)}
-    for r, rho in enumerate(rho_nodes):
-        mats = {s: _intertwiner_matrix(grid, rho, True, s, method)
-                for s in (1, -1)}
-        for tauprime in (1, -1):
-            acc = np.zeros(grid.n_theta, dtype=complex)
-            for tprime in (1, -1):
-                sgn = tprime if tau_weight == "signed" else 1.0
-                acc += sgn * mats[tprime * tauprime] @ varpi[tprime][:, r]
-            values[tauprime][:, r] = acc
-    return ConeSpectrum(grid, rho_nodes, values)
+        def sheet(s, tprime=tprime):
+            return np.stack([np.broadcast_to(h(s, tprime, d), s.shape)
+                             for d in dirs])
+        varpi[tprime] = mellin_forward(sheet, grid.n, rho_nodes,
+                                       grid.s_window, grid.n_s)
+    return ConeSpectrum(grid, rho_nodes, _apply_sheets(eigs, varpi, tau_weight))
 
 
 def _d2_signed(n: int, j: int, k: int, rho: float) -> float:
@@ -724,23 +743,17 @@ def cone_fourier_inverse(psi: ConeSpectrum, rho_weights,
     (1/2 pi) sum over the rho nodes (with the supplied weights) of |d|^2
     (signed-rho continuation) times the inverse-phase angular kernel times
     s^{-(n-1)/2 + i rho}.  The rho grid may cover both half lines or a
-    band on one of them.  Returns tauprime -> (n_s, n_theta).
+    band on one of them.  Returns tauprime -> (n_s, n_theta): per sheet,
+    one (n_s x n_rho) @ (n_rho x n_theta) product.
     """
     grid = psi.grid
     rho_nodes = psi.rho_nodes
     rho_weights = np.asarray(rho_weights, dtype=float)
-    s = grid.s_nodes
-    out = {1: np.zeros((s.size, grid.n_theta), dtype=complex),
-           -1: np.zeros((s.size, grid.n_theta), dtype=complex)}
-    for r, (rho, wr) in enumerate(zip(rho_nodes, rho_weights)):
-        d2 = _d2_signed(grid.n, d_sector[0], d_sector[1], rho)
-        mats = {sec: _intertwiner_matrix(grid, rho, False, sec, method)
-                for sec in (1, -1)}
-        radial = s ** complex(-0.5 * (grid.n - 1), rho)
-        for tprime in (1, -1):
-            acc = np.zeros(grid.n_theta, dtype=complex)
-            for tauprime in (1, -1):
-                sgn = tauprime if tau_weight == "signed" else 1.0
-                acc += sgn * mats[tprime * tauprime] @ psi.values[tauprime][:, r]
-            out[tprime] += (wr * d2 / (2.0 * math.pi)) * radial[:, None] * acc[None, :]
-    return out
+    eigs = _sheet_eigs(grid, rho_nodes, False, method)
+    acc = _apply_sheets(eigs, psi.values, tau_weight)
+    d2 = np.array([_d2_signed(grid.n, d_sector[0], d_sector[1], rho)
+                   for rho in rho_nodes])
+    # (n_s, n_rho): s^{-(n-1)/2 + i rho} w |d|^2 / 2 pi
+    radial = (grid.s_nodes[:, None] ** (-0.5 * (grid.n - 1) + 1j * rho_nodes)
+              * (rho_weights * d2 / (2.0 * math.pi)))
+    return {tprime: radial @ acc[tprime].T for tprime in (1, -1)}

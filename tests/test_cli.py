@@ -16,6 +16,23 @@ def run_cli(args, env_extra=None):
     return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
 
 
+def test_import_does_not_load_scipy():
+    # scipy loads on first use of a Gauss rule or a Bessel function, not at
+    # import: every subcommand pays the import
+    import dswave
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dswave.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, dswave, dswave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_no_command_usage_error():
     assert run_cli([]).returncode == 2
 
@@ -87,7 +104,7 @@ def test_verify_algebra_passes(tmp_path):
     assert (tmp_path / "verify_algebra.csv").exists()
 
 
-@pytest.mark.parametrize("suite", ["appendix", "contract"])
+@pytest.mark.parametrize("suite", ["appendix", "contract", "transform"])
 def test_verify_suite_passes(tmp_path, suite):
     r = run_cli(["--out", str(tmp_path), "verify", suite])
     assert r.returncode == 0

@@ -1,11 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_legendre
 
 from dswave import specfun, transform
+from dswave.errors import UnsupportedCaseError
 from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper
 from dswave.planewave import (HyperWave, dalembert_horo_residual,
                               principal_mass, psi_hyper, radial_profile)
@@ -17,7 +19,7 @@ from dswave.transform import (AbsoluteProfile, ConeFunction, ConeGrid,
                               fourier_hyper_inverse, intertwiner_symbol,
                               mellin_forward, mellin_inverse,
                               wavepacket_ambient, wavepacket_hyper)
-from dswave.transform import _intertwiner_matrix
+from dswave.transform import _intertwiner_eigs
 
 
 # -------------------------------------------------------------- profiles
@@ -441,6 +443,23 @@ def test_mellin_scaling_covariance():
     assert_allclose(a, factor * b, rtol=1e-9)
 
 
+def test_mellin_forward_batched_matches_rows():
+    # an h returning (k, n_s) gives the k one-row transforms
+    n = 2
+    shifts = np.array([-1.0, 0.0, 0.5, 2.0])
+    rho = np.array([0.3, 1.1, 2.7])
+
+    def row(sv, c):
+        return np.exp(-(np.log(sv) - c) ** 2) * (1.0 + 0.5j * np.sin(np.log(sv)))
+
+    batch = mellin_forward(lambda sv: np.stack([row(sv, c) for c in shifts]),
+                           n, rho, (1e-6, 1e6), 600)
+    assert batch.shape == (shifts.size, rho.size)
+    for i, c in enumerate(shifts):
+        one = mellin_forward(lambda sv: row(sv, c), n, rho, (1e-6, 1e6), 600)
+        assert_allclose(batch[i], one, rtol=1e-13)
+
+
 # -------------------------------------------------------------- cone pair
 
 
@@ -450,13 +469,15 @@ def test_intertwiner_direct_matches_spectral():
     for rho in (0.7, 1.3, 2.5):
         for sector in (1, -1):
             for forward in (True, False):
-                A = _intertwiner_matrix(grid, rho, forward, sector, "direct")
-                B = _intertwiner_matrix(grid, rho, forward, sector, "spectral")
+                A = _intertwiner_eigs(grid, rho, forward, sector, "direct")
+                B = _intertwiner_eigs(grid, rho, forward, sector, "spectral")
                 # compare action on smooth modes
                 for j in (0, 1, 3):
-                    g = np.exp(1j * j * grid.thetas)
-                    num = np.max(np.abs(A @ g - B @ g))
-                    den = max(np.max(np.abs(B @ g)), 1e-12)
+                    g = np.fft.fft(np.exp(1j * j * grid.thetas))
+                    Ag = np.fft.ifft(A * g)
+                    Bg = np.fft.ifft(B * g)
+                    num = np.max(np.abs(Ag - Bg))
+                    den = max(np.max(np.abs(Bg)), 1e-12)
                     worst = max(worst, num / den)
     assert worst < 2e-3  # declared tolerance of the node-exclusion scheme
 
@@ -529,6 +550,127 @@ def test_cone_signed_tau_breaks_parity():
     odd = psi.values[1] - np.roll(psi.values[-1], half, axis=0)
     even = psi.values[1] + np.roll(psi.values[-1], half, axis=0)
     assert np.max(np.abs(even)) < 1e-13 * np.max(np.abs(odd))
+
+
+def _symbol_mpmath(rho, forward, sector, j):
+    """2^{-E} 2 pi Gamma(1+2E) / (Gamma(1+E+j) Gamma(1+E-j)), times the
+    Theta phase and (-1)^j in sector +1, in 30-digit arithmetic."""
+    with mp.workdps(30):
+        E = mp.mpc(-0.5, -rho if forward else rho)
+        lam = (2 ** (-E) * 2 * mp.pi * mp.gamma(1 + 2 * E)
+               / (mp.gamma(1 + E + j) * mp.gamma(1 + E - j)))
+        if sector == 1:
+            lam *= (-1) ** j * mp.exp(1j * mp.pi * (
+                mp.mpf(0.5) * (1 if forward else -1) + 1j * rho))
+        return complex(lam)
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.7, 3.5, 20.0])
+def test_intertwiner_symbol_vs_mpmath(rho):
+    grid = ConeGrid(n=2, n_theta=64)
+    js = np.arange(129)
+    for forward in (True, False):
+        for sector in (1, -1):
+            got = intertwiner_symbol(grid, rho, forward, sector, js)
+            ref = np.array([_symbol_mpmath(rho, forward, sector, int(j))
+                            for j in js])
+            assert_allclose(got, ref, rtol=5e-14)
+            # unsorted indices with negative values: the symbol is even in j
+            jm = np.array([5, -3, 0, 17, -17, 2])
+            assert_allclose(intertwiner_symbol(grid, rho, forward, sector, jm),
+                            ref[np.abs(jm)], rtol=5e-14)
+
+
+def _dense_circulant(eigs):
+    """Dense matrix of g -> ifft(eigs * fft(g))."""
+    n = eigs.size
+    i = np.arange(n)
+    return np.fft.ifft(eigs)[(i[:, None] - i[None, :]) % n]
+
+
+@pytest.mark.parametrize("method", ["spectral", "direct"])
+def test_cone_pair_matches_dense_reference(method):
+    # the loop form of the pair: a dense circulant per rho and sector, one
+    # Mellin call per direction, rank-one updates per rho in the inverse
+    grid = ConeGrid(n=2, n_theta=64, s_window=(1e-3, 1e3), n_s=160)
+    rho_nodes = np.array([0.6, 1.4, 2.3])
+    rho_w = np.array([0.3, 0.5, 0.4])
+    dirs = grid.directions()
+
+    def hfun(s, tp, xp):
+        g = np.exp(-np.log(s) ** 2 / 2.0) / np.sqrt(s)
+        return g * (xp[1] ** 2 - 0.3j * xp[0] + 0.5 * tp * xp[0] * xp[1])
+
+    mats = {(fwd, sec, r): _dense_circulant(
+                _intertwiner_eigs(grid, rho, fwd, sec, method))
+            for fwd in (True, False) for sec in (1, -1)
+            for r, rho in enumerate(rho_nodes)}
+    rng = np.random.default_rng(7)
+    vals = {tp: rng.normal(size=(grid.n_theta, rho_nodes.size))
+            + 1j * rng.normal(size=(grid.n_theta, rho_nodes.size))
+            for tp in (1, -1)}
+    s = grid.s_nodes
+    for tau_weight in ("unsigned", "signed"):
+        varpi = {tp: np.stack([mellin_forward(lambda sv: hfun(sv, tp, d), 2,
+                                              rho_nodes, grid.s_window,
+                                              grid.n_s) for d in dirs])
+                 for tp in (1, -1)}
+        fwd_ref = {}
+        for tau in (1, -1):
+            fwd_ref[tau] = np.stack([sum(
+                (tp if tau_weight == "signed" else 1.0)
+                * mats[(True, tp * tau, r)] @ varpi[tp][:, r]
+                for tp in (1, -1)) for r in range(rho_nodes.size)], axis=1)
+        inv_ref = {tp: np.zeros((s.size, grid.n_theta), dtype=complex)
+                   for tp in (1, -1)}
+        for r, (rho, wr) in enumerate(zip(rho_nodes, rho_w)):
+            radial = s ** complex(-0.5, rho)
+            for tp in (1, -1):
+                acc = sum((tau if tau_weight == "signed" else 1.0)
+                          * mats[(False, tp * tau, r)] @ vals[tau][:, r]
+                          for tau in (1, -1))
+                inv_ref[tp] += (wr * transform._d2_signed(2, 0, 0, rho)
+                                / (2 * math.pi)
+                                * np.outer(radial, acc))
+
+        psi = cone_fourier_forward(ConeFunction(2, hfun, grid.s_window),
+                                   rho_nodes, grid, tau_weight, method)
+        h = cone_fourier_inverse(ConeSpectrum(grid, rho_nodes, vals), rho_w,
+                                 tau_weight, method=method)
+        for tp in (1, -1):
+            for got, ref in ((psi.values[tp], fwd_ref[tp]), (h[tp], inv_ref[tp])):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_theta", [16, 36])
+def test_cone_direct_refuses_wrapped_stencil(n_theta):
+    # 2 fit_cells + 1 = 37 fit columns around the pole wrap on a smaller circle
+    grid = ConeGrid(n=2, n_theta=n_theta, s_window=(1e-3, 1e3), n_s=60)
+    h = ConeFunction(2, lambda s, tp, xp: np.exp(-np.log(s) ** 2) * xp[1],
+                     grid.s_window)
+    rho = np.array([0.8, 1.5])
+    with pytest.raises(UnsupportedCaseError, match="n_theta >= 38"):
+        cone_fourier_forward(h, rho, grid, method="direct")
+    psi = ConeSpectrum(grid, rho, {tp: np.ones((n_theta, 2), dtype=complex)
+                                   for tp in (1, -1)})
+    with pytest.raises(UnsupportedCaseError, match="n_theta >= 38"):
+        cone_fourier_inverse(psi, [0.5, 0.5], method="direct")
+    if n_theta == 16:
+        out = cone_fourier_forward(h, rho, grid, method="spectral")
+        back = cone_fourier_inverse(psi, [0.5, 0.5], method="spectral")
+        for tp in (1, -1):
+            assert np.all(np.isfinite(out.values[tp]))
+            assert np.all(np.isfinite(back[tp]))
+
+
+def test_cone_direct_accepts_unwrapped_stencil():
+    grid = ConeGrid(n=2, n_theta=38, s_window=(1e-3, 1e3), n_s=60)
+    h = ConeFunction(2, lambda s, tp, xp: np.exp(-np.log(s) ** 2) * xp[1],
+                     grid.s_window)
+    psi = cone_fourier_forward(h, [0.8, 1.5], grid, method="direct")
+    back = cone_fourier_inverse(psi, [0.5, 0.5], method="direct")
+    assert all(np.all(np.isfinite(back[tp])) for tp in (1, -1))
 
 
 @pytest.mark.parametrize("method,tol", [("spectral", 5e-3), ("direct", 5e-3)])
