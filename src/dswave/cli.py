@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import limits, lorentz, planewave, specfun, transform
-from .errors import OnSingularSurfaceError
 from .geometry import HyperChart, SpacetimeConfig, from_hyper
 from .planewave import HyperWave, principal_mass
 from .specfun import HarmonicIndex
@@ -146,17 +144,9 @@ def write_svg_line(path: str, xs, ys, title: str, xlabel: str, ylabel: str) -> N
         fh.write("</svg>\n")
 
 
-def _parallel_map(fn, items, threads: int):
-    """Map preserving input order; results identical for any thread count."""
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _meta(cfg: dict, args) -> dict:
-    # thread count is deliberately not echoed: outputs are byte-identical
-    # for any --threads value
+    # thread count is deliberately not echoed: --threads has no effect, so
+    # outputs are byte-identical for any value
     meta = {k: cfg[k] for k in sorted(cfg)}
     meta["seed"] = args.seed
     return meta
@@ -170,37 +160,30 @@ def cmd_planewave(cfg: dict, args) -> int:
     out = os.path.join(args.out, "planewave.csv")
     betas = np.linspace(float(cfg["beta_min"]), float(cfg["beta_max"]),
                         int(cfg["beta_steps"]))
+    angles = tuple([np.pi / 2] * (n - 2))  # the same chart angles on every row
+    meta = _meta(cfg, args)
     if cfg["mode"] == "hyper":
         ls = tuple(_ints(cfg["ls"])) if cfg["ls"] else ()
         if len(ls) != n - 2:
             ls = tuple([abs(int(cfg["m"]))] * (n - 2))
         wave = HyperWave(int(cfg["alpha"]), float(cfg["rho"]),
                          HarmonicIndex(n, int(cfg["m"]), ls))
-        rows = []
-        for b in betas:
-            chart = HyperChart(float(b), tuple([np.pi / 2] * (n - 2)), 0.0)
-            val = planewave.psi_hyper(wave, chart)
-            rows.append([b, val.real, val.imag])
-        write_csv(out, ["beta", "re_psi", "im_psi"], rows, _meta(cfg, args))
+        vals = (planewave.radial_profile(wave, betas)
+                * specfun.hypersph_Y(wave.idx, angles, 0.0))
     else:
         st = SpacetimeConfig(n=n, R=float(cfg["R"]))
         mass = principal_mass(st, float(cfg["mu"]))
         xi = np.zeros(n + 1)
         xi[0] = xi[-1] = 1.0
         wave = planewave.AmbientWave(tuple(xi), mass)
-        rows = []
-        dropped = 0
-        for b in betas:
-            x = from_hyper(st, HyperChart(float(b), tuple([np.pi / 2] * (n - 2)), 0.0))
-            try:
-                val = planewave.psi_ambient(wave, x)
-            except OnSingularSurfaceError:
-                dropped += 1
-                continue
-            rows.append([b, complex(val).real, complex(val).imag])
-        meta = _meta(cfg, args)
-        meta["dropped_nodes"] = dropped
-        write_csv(out, ["beta", "re_psi", "im_psi"], rows, meta)
+        xs = np.stack([from_hyper(st, HyperChart(float(b), angles, 0.0))
+                       for b in betas])
+        vals = planewave.psi_ambient(wave, xs)  # NaN where x.xi = 0
+        dropped = np.isnan(vals)
+        meta["dropped_nodes"] = int(dropped.sum())
+        betas, vals = betas[~dropped], vals[~dropped]
+    write_csv(out, ["beta", "re_psi", "im_psi"],
+              np.column_stack([betas, vals.real, vals.imag]), meta)
     print(f"wrote {out}")
     return 0
 
@@ -221,23 +204,16 @@ def cmd_wavepacket(cfg: dict, args) -> int:
                           int(cfg["path_points"]))
     betas = np.log(s_vals / st.R)
     dir_angles = tuple([np.pi / 3] * (n - 2))
-
-    def field_at(b):
-        x = from_hyper(st, HyperChart(float(b), dir_angles, 0.5))
-        return transform.wavepacket_ambient(spec, x)
-
-    vals = _parallel_map(field_at, list(betas), args.threads)
-    vals = np.asarray(vals, dtype=complex)
-    _, rep = transform.wavepacket_ambient(
-        spec, from_hyper(st, HyperChart(float(betas[0]), dir_angles, 0.5)),
-        full_output=True)
+    pts = np.stack([from_hyper(st, HyperChart(float(b), dir_angles, 0.5))
+                    for b in betas])
+    vals, rep = transform.wavepacket_ambient(spec, pts, full_output=True)
     # envelope bins must span the modulus oscillation (period pi/mu' in
     # log s); meaningful fits need paths covering several periods
     fit = limits.decay_fit(s_vals, vals, n_windows=int(cfg["windows"]),
                            noise_floor=rep.noise_estimate,
                            bin_width=np.pi / max(mass.mu_prime, 0.1) * 1.05)
     out = os.path.join(args.out, "wavepacket.csv")
-    rows = [[s, v.real, v.imag, abs(v)] for s, v in zip(s_vals, vals)]
+    rows = np.column_stack([s_vals, vals.real, vals.imag, np.abs(vals)])
     meta = _meta(cfg, args)
     meta["decay_status"] = fit.status
     meta["decay_slopes"] = ";".join(f"{s:.6g}" for s in fit.slopes)
@@ -435,7 +411,9 @@ def main(argv=None) -> int:
                     "Sitter spacetime")
     parser.add_argument("--config", help="KEY = VALUE configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored: each field is evaluated "
+                             "in one batched call")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--svg", action="store_true",
                         help="also write SVG plots where supported")
@@ -461,7 +439,6 @@ def main(argv=None) -> int:
         return 2
     try:
         os.makedirs(args.out, exist_ok=True)
-        np.random.default_rng(args.seed)  # seed is threaded through args
         if args.command == "planewave":
             return cmd_planewave(cfg, args)
         if args.command == "wavepacket":

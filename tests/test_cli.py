@@ -2,9 +2,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from dswave import transform
 from dswave.cli import load_config, main
+from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper
+from dswave.planewave import HyperWave, principal_mass, psi_hyper
+from dswave.specfun import HarmonicIndex
 
 RUN = [sys.executable, "-m", "dswave.cli"]
 
@@ -97,6 +102,20 @@ def test_planewave_ambient_unit_row(tmp_path):
     assert abs(float(first[2])) < 1e-12
 
 
+def test_planewave_ambient_drops_singular_row(tmp_path):
+    # at n = 3 the first row has sinh(beta) = cosh(beta) cos(pi/2) exactly,
+    # so x.xi = 0 there
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 3\nmode = ambient\nbeta_min = 6.123233995736766e-17\n"
+                   "beta_max = 1.0\nbeta_steps = 3\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "planewave"]) == 0
+    text = (tmp_path / "planewave.csv").read_text()
+    assert "# dropped_nodes = 1\n" in text
+    betas, vals = _csv_values(tmp_path / "planewave.csv")
+    assert betas.tolist() == [0.5, 1.0]
+    assert np.all(np.isfinite(vals))
+
+
 def test_verify_algebra_passes(tmp_path):
     r = run_cli(["--out", str(tmp_path), "verify", "algebra"])
     assert r.returncode == 0
@@ -104,7 +123,8 @@ def test_verify_algebra_passes(tmp_path):
     assert (tmp_path / "verify_algebra.csv").exists()
 
 
-@pytest.mark.parametrize("suite", ["appendix", "contract", "transform"])
+@pytest.mark.parametrize("suite", ["appendix", "contract", "transform",
+                                   "ode", "decay"])
 def test_verify_suite_passes(tmp_path, suite):
     r = run_cli(["--out", str(tmp_path), "verify", suite])
     assert r.returncode == 0
@@ -132,6 +152,45 @@ def test_wavepacket_deterministic_across_threads(tmp_path):
         assert r.returncode == 0
         outs.append((out / "wavepacket.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _csv_values(path):
+    """(first column, complex values from the next two) of a CLI CSV."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    data = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+    return data[:, 0], data[:, 1] + 1j * data[:, 2]
+
+
+def test_wavepacket_cli_matches_library_points(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 3\nmu = 1.5\npath_points = 24\npath_s_min = 2.0\n"
+                   "path_s_max = 40.0\ncap_theta_nodes = 6\ncap_sub_polar = 4\n"
+                   "cap_sub_azimuth = 8\nwindows = 2\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "wavepacket"]) == 0
+    s_col, vals = _csv_values(tmp_path / "wavepacket.csv")
+    st = SpacetimeConfig(n=3, R=1.0)
+    spec = transform.WavepacketSpec(
+        transform.AbsoluteProfile((0.0, 0.0, 1.0), 0.35, shape=1.0),
+        principal_mass(st, 1.5), n_theta=6, n_sub_polar=4, n_sub_azimuth=8)
+    s_vals = np.geomspace(2.0, 40.0, 24)
+    ref = np.array([transform.wavepacket_ambient(
+        spec, from_hyper(st, HyperChart(float(b), (np.pi / 3,), 0.5)))
+        for b in np.log(s_vals)])
+    assert np.array_equal(s_col, s_vals)
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_planewave_hyper_cli_matches_psi_hyper(tmp_path, n):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n = {n}\nalpha = 1\nrho = 1.3\nm = 1\nbeta_steps = 21\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "planewave"]) == 0
+    betas, vals = _csv_values(tmp_path / "planewave.csv")
+    wave = HyperWave(1, 1.3, HarmonicIndex(n, 1, (1,) * (n - 2)))
+    ref = np.array([psi_hyper(wave, HyperChart(float(b), (np.pi / 2,) * (n - 2),
+                                               0.0)) for b in betas])
+    assert np.array_equal(betas, np.linspace(-3.0, 3.0, 21))
+    assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_main_in_process_exit_codes(tmp_path):

@@ -101,6 +101,29 @@ def test_wavepacket_report_counts_nodes():
     assert rep.dropped_nodes == 0
 
 
+def test_wavepacket_batch_blocks_match_rows():
+    # 32 cap nodes give blocks of 128 rows, so 300 rows span three blocks;
+    # rows 150 and 290 sit exactly on x.xi = 0 for a node and its mirror
+    n = 2
+    cfg = SpacetimeConfig(n=n)
+    spec = WavepacketSpec(AbsoluteProfile((0.0, 1.0), 0.35),
+                          principal_mass(cfg, 1.5), n_theta=16)
+    xi, _ = spec.cap_nodes()
+    assert xi.shape[0] == 32 and 300 > 2 * (transform._WAVEPACKET_BLOCK // 32)
+    rng = np.random.default_rng(5)
+    pts = np.stack([from_hyper(cfg, HyperChart(b, (), phi)) for b, phi in
+                    zip(rng.uniform(-2.0, 2.0, 300), rng.uniform(0, 2 * np.pi, 300))])
+    # x = (x2 u2, 0, x2) with x2 = 1/|u1|: both products in x.xi are exact
+    u1, u2 = xi[3, 1:]
+    x2 = 1.0 / abs(u1)
+    pts[[150, 290]] = (x2 * u2, 0.0, x2)
+    vals, rep = wavepacket_ambient(spec, pts, full_output=True)
+    assert rep.dropped_nodes == 4
+    assert rep.total_nodes == 300 * 32
+    rows = np.array([wavepacket_ambient(spec, x) for x in pts])
+    assert np.max(np.abs(vals - rows)) <= 1e-12 * np.max(np.abs(rows))
+
+
 def test_wavepacket_solves_wave_equation():
     # FD (box - mu^2) residual on the synthesized field, horospheric chart
     n = 3
@@ -662,6 +685,23 @@ def test_cone_direct_refuses_wrapped_stencil(n_theta):
         for tp in (1, -1):
             assert np.all(np.isfinite(out.values[tp]))
             assert np.all(np.isfinite(back[tp]))
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"method": "spectal"}, "method must be 'direct' or 'spectral'"),
+    ({"method": "spectral", "tau_weight": "sigend"},
+     "tau_weight must be 'unsigned' or 'signed'")])
+def test_cone_rejects_unknown_conventions(kwargs, match):
+    grid = ConeGrid(n=2, n_theta=16, s_window=(1e-3, 1e3), n_s=60)
+    h = ConeFunction(2, lambda s, tp, xp: np.exp(-np.log(s) ** 2) * xp[1],
+                     grid.s_window)
+    rho = np.array([0.8, 1.5])
+    psi = ConeSpectrum(grid, rho, {tp: np.ones((16, 2), dtype=complex)
+                                   for tp in (1, -1)})
+    with pytest.raises(ValueError, match=match):
+        cone_fourier_forward(h, rho, grid, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        cone_fourier_inverse(psi, [0.5, 0.5], **kwargs)
 
 
 def test_cone_direct_accepts_unwrapped_stencil():
