@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import limits, lorentz, planewave, specfun, transform
+from . import criteria, limits, planewave, specfun, transform
 from .geometry import HyperChart, SpacetimeConfig, from_hyper
 from .planewave import HyperWave, principal_mass
 from .specfun import HarmonicIndex
@@ -47,7 +47,6 @@ DEFAULTS = {
     "path_points": "160",
     "windows": "4",
     "R_scan": "10,100,1000,10000",
-    "fd_step": "1e-3",
     "rho_grid": "0.5,1,2",
     "j_grid": "0,1",
     "k_grid": "0,1",
@@ -228,31 +227,12 @@ def cmd_wavepacket(cfg: dict, args) -> int:
     return 0
 
 
-def _contraction_scan(n: int, scan: list[float]) -> tuple[float, list[float], bool]:
-    """Poincare residuals over the radius scan, their log-log slope, and
-    whether the slope meets the contraction target -1 +- 0.05."""
-    st = SpacetimeConfig(n=n)
-    res = [lorentz.poincare_residual(st, R) for R in scan]
-    slope = float(np.polyfit(np.log(scan), np.log(res), 1)[0])
-    return slope, res, abs(slope + 1.0) < 0.05
-
-
-APPENDIX_TOL = 1e-4  # relative error bound of the |d| oracle vs the closed form
-
-
-def _appendix_case(n: int, j: int, k: int, rho: float) -> tuple[float, float, float]:
-    """(oracle, closed form, relative error) of |d(rho)| in one sector."""
-    oracle = limits.appendix_d_oracle(n, j, k, rho)
-    closed = specfun.d_abs(n, j, k, rho)
-    return oracle, closed, abs(oracle - closed) / closed
-
-
 def cmd_contract(cfg: dict, args) -> int:
     rows = []
     ok = True
     scan = _floats(cfg["R_scan"])
     for n in _ints(cfg["n_grid"]):
-        slope, res, passed = _contraction_scan(n, scan)
+        slope, res, passed = criteria.contraction_scan(n, scan)
         rows.append([n, slope] + res)
         ok = ok and passed
     out = os.path.join(args.out, "contract.csv")
@@ -269,139 +249,31 @@ def cmd_appendix_d(cfg: dict, args) -> int:
         for j in _ints(cfg["j_grid"]):
             for k in _ints(cfg["k_grid"]):
                 for rho in _floats(cfg["rho_grid"]):
-                    oracle, closed, rel = _appendix_case(n, j, k, rho)
+                    oracle, closed, rel = criteria.appendix_case(n, j, k, rho)
                     worst = max(worst, rel)
                     rows.append([n, j, k, rho, oracle, closed, rel])
     out = os.path.join(args.out, "appendix_d.csv")
     write_csv(out, ["n", "j", "k", "rho", "oracle", "formula", "rel_err"],
               rows, _meta(cfg, args))
-    ok = worst <= APPENDIX_TOL
+    ok = worst <= criteria.APPENDIX_TOL
     print(f"wrote {out}; worst relative error {worst:.3e}: "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def _verify_algebra(cfg, args, rows) -> bool:
-    ok = True
-    for n in (2, 3, 4, 5):
-        st = SpacetimeConfig(n=n)
-        r1 = lorentz.structure_residual(st)
-        r2 = lorentz.iwasawa_ad_residual(st)
-        rows.append(["algebra", f"structure_residual n={n}", r1, 1e-12, r1 < 1e-12])
-        rows.append(["algebra", f"ad(a)n=n n={n}", r2, 1e-12, r2 < 1e-12])
-        ok = ok and r1 < 1e-12 and r2 < 1e-12
-    return ok
-
-
-def _verify_ode(cfg, args, rows) -> bool:
-    ok = True
-    h = float(cfg["fd_step"])
-    grid = np.linspace(0.4, 1.6, 5)
-    for n in (2, 3, 4):
-        for rho in (0.6, 1.1):
-            ls = tuple([1] * (n - 2))
-            wave = HyperWave(2, rho, HarmonicIndex(n, 1 if n == 2 else 0, ls))
-            r = planewave.radial_ode_residual(wave, grid, h=h, richardson=True)
-            rows.append(["ode", f"radial n={n} rho={rho}", r, 1e-6, r < 1e-6])
-            ok = ok and r < 1e-6
-    for n in (3, 4):
-        wave = HyperWave(2, 0.9, HarmonicIndex(n, 0, tuple([1] * (n - 2))))
-        chart = HyperChart(0.7, tuple([1.1] * (n - 2)), 0.9)
-        r = planewave.dalembert_residual(wave, chart, h=h, richardson=True)
-        rows.append(["ode", f"separated box n={n}", r, 1e-6, r < 1e-6])
-        ok = ok and r < 1e-6
-    return ok
-
-
-def _verify_transform(cfg, args, rows) -> bool:
-    # Mellin round trip on a smooth bump
-    n = 2
-    s = np.geomspace(0.05, 20.0, 240)
-
-    def h(sv):
-        v = np.log(sv)
-        out = np.zeros_like(sv)
-        inside = np.abs(v) < 2.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - (v[inside] / 2.0) ** 2))
-        return out
-
-    varpi = lambda r: transform.mellin_forward(h, n, r, (1e-4, 1e4), 800)
-    back = transform.mellin_inverse(varpi, n, s, (-170, 170), 9000).real
-    err = float(np.max(np.abs(back - h(s))) / np.max(np.abs(h(s))))
-    rows.append(["transform", "mellin round trip", err, 1e-6, err <= 1e-6])
-    return err <= 1e-6
-
-
-def _verify_contract(cfg, args, rows) -> bool:
-    ok = True
-    for n in (2, 3, 4):
-        slope, _, passed = _contraction_scan(n, [10.0, 100.0, 1000.0, 10000.0])
-        rows.append(["contract", f"slope n={n}", slope, -1.0, passed])
-        ok = ok and passed
-    return ok
-
-
-def _verify_appendix(cfg, args, rows) -> bool:
-    ok = True
-    for n in (2, 3):
-        for (j, k) in ((0, 0), (1, 1)):
-            rel = _appendix_case(n, j, k, 1.0)[2]
-            passed = rel <= APPENDIX_TOL
-            rows.append(["appendix", f"|d| n={n} j={j} k={k}", rel, APPENDIX_TOL, passed])
-            ok = ok and passed
-    return ok
-
-
-def _verify_decay(cfg, args, rows) -> bool:
-    st = SpacetimeConfig(n=2)
-    rng = np.random.default_rng(args.seed)
-    pts = []
-    for _ in range(12):
-        b = rng.uniform(-2, 2)
-        pts.append(from_hyper(st, HyperChart(b, (), rng.uniform(0, 2 * np.pi))))
-    dirs = [np.array([np.sin(t), np.cos(t)])
-            for t in np.linspace(0, 2 * np.pi, 60, endpoint=False)]
-    g = limits.phase_gradient_min(st, pts, dirs)
-    rows.append(["decay", "min |grad Phi|", g, 0.0, g > 0.0])
-    ok = g > 0.0
-    rho = 2.5
-    for n in (2, 3):
-        wave = HyperWave(2, rho, HarmonicIndex(n, 0, tuple([0] * (n - 2))))
-        betas = np.linspace(2.5, 14.0, 1200)
-        fit = limits.decay_fit(np.exp(betas),
-                               planewave.radial_profile(wave, betas),
-                               n_windows=3, bin_width=np.pi / rho * 1.05)
-        worst = max(abs(s - 0.5 * (n - 1)) for s in fit.slopes)
-        rows.append(["decay", f"single-wave exponent n={n}", worst, 0.05,
-                     worst < 0.05])
-        ok = ok and worst < 0.05
-    return ok
-
-
-VERIFY_SUITES = {
-    "algebra": _verify_algebra,
-    "ode": _verify_ode,
-    "transform": _verify_transform,
-    "contract": _verify_contract,
-    "appendix": _verify_appendix,
-    "decay": _verify_decay,
-}
-
-
 def cmd_verify(cfg: dict, args) -> int:
-    if args.suite not in VERIFY_SUITES:
+    if args.suite not in criteria.SUITES:
         print(f"unknown suite {args.suite!r}; choose from "
-              f"{sorted(VERIFY_SUITES)}", file=sys.stderr)
+              f"{sorted(criteria.SUITES)}", file=sys.stderr)
         return 2
-    rows: list = []
-    ok = VERIFY_SUITES[args.suite](cfg, args, rows)
+    rows = [row for check in criteria.SUITES[args.suite] for row in check()]
     out = os.path.join(args.out, f"verify_{args.suite}.csv")
     write_csv(out, ["suite", "criterion", "value", "target", "pass"],
-              rows, _meta(cfg, args))
-    for row in rows:
-        print(f"{'PASS' if row[4] else 'FAIL'}  {row[1]}  value={row[2]:.3e}")
+              [(args.suite, *row) for row in rows], _meta(cfg, args))
+    for name, value, _, passed in rows:
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  value={value:.3e}")
     print(f"wrote {out}")
-    return 0 if ok else 1
+    return 0 if all(row[3] for row in rows) else 1
 
 
 def main(argv=None) -> int:
@@ -414,7 +286,9 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: each field is evaluated "
                              "in one batched call")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="recorded in the CSV '#' metadata only; no "
+                             "subcommand draws random numbers from it")
     parser.add_argument("--svg", action="store_true",
                         help="also write SVG plots where supported")
     sub = parser.add_subparsers(dest="command")

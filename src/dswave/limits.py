@@ -108,9 +108,6 @@ class DecayFit:
     non_decreasing: bool = True
     status: str = "ok"
 
-    def max_exponent(self) -> float:
-        return max(self.slopes) if self.slopes else float("nan")
-
 
 def decay_fit(s_values, f_values, n_windows: int = 4,
               noise_floor: float = 0.0, envelope: bool = True,

@@ -329,8 +329,10 @@ def wavepacket_ambient(spec: WavepacketSpec, x, full_output: bool = False):
 
     x may be one ambient point or an array of row points, evaluated in
     blocks of at most 4096 s-values (at least one row).  Quadrature nodes
-    falling exactly on x.xi = 0 are dropped and counted in the report,
-    summed over the blocks; the noise estimate is the roundoff scale of
+    on x.xi = 0 to within the rounding bound of the dot product,
+    (n+1) eps (|x_0 xi_0| + sum |x_i xi_i|), are dropped and counted in the
+    report, summed over the blocks, so the result does not depend on how
+    the points are batched; the noise estimate is the roundoff scale of
     the node sum.
     """
     mass = spec.mass
@@ -343,11 +345,12 @@ def wavepacket_ambient(spec: WavepacketSpec, x, full_output: bool = False):
     pts = x[None, :] if single else x
     out = np.empty(pts.shape[0], dtype=complex)
     dropped = 0
+    tol = (mass.cfg.n + 1) * np.finfo(float).eps
     step = max(1, _WAVEPACKET_BLOCK // xi.shape[0])
     for i in range(0, pts.shape[0], step):
         blk = pts[i:i + step]
         s = -np.outer(blk[:, 0], xi[:, 0]) + blk[:, 1:] @ xi[:, 1:].T
-        mask = s == 0.0
+        mask = np.abs(s) <= tol * (np.abs(blk) @ np.abs(xi).T)
         dropped += int(mask.sum())
         vals = np.where(mask, 0.0, _two_branch(mass, s))
         out[i:i + step] = d2 * (vals * wf).sum(axis=1)
@@ -369,9 +372,6 @@ class HyperCoeffs:
 
     def __getitem__(self, key):
         return self.table.get(key, 0.0 + 0.0j)
-
-    def norm_sq(self) -> float:
-        return float(sum(abs(v) ** 2 for v in self.table.values()))
 
 
 def wavepacket_hyper(coeffs: HyperCoeffs, beta, phis, phi):

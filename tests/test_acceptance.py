@@ -1,5 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+The checks of criteria 1, 3, 4, 6, 8a, 8c and 9 live in dswave.criteria,
+which `dswave verify` runs too; their tests print the measured value of
+every row and assert that each row passed.  Criteria 2, 5, 7, 8b and 10
+have no CLI suite and are written out here.
+
 Criterion 8's wavepacket clause (test_criterion_8b) is asserted as stated
 and fails: a sharp-mass wavepacket decays at the envelope rate (n-1)/2,
 not faster.  Any fixed-mass solution decaying faster would be square
@@ -14,22 +19,17 @@ criteria pass.
 """
 
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
 
-from dswave import limits, lorentz, specfun, transform
+from dswave import criteria, limits, lorentz, specfun, transform
 from dswave.geometry import (HyperChart, SpacetimeConfig, from_hyper,
                              minkowski_dot)
-from dswave.planewave import (HyperWave, dalembert_residual, principal_mass,
-                              radial_ode_residual, radial_profile)
+from dswave.planewave import HyperWave, principal_mass
 from dswave.specfun import HarmonicIndex, SpecFunConfig, harmonic_indices
-from dswave.transform import (AbsoluteProfile, HyperCoeffs, QuadratureGrid,
-                              WavepacketSpec, fourier_hyper_forward,
-                              fourier_hyper_inverse, mellin_forward,
-                              mellin_inverse, wavepacket_ambient)
+from dswave.transform import AbsoluteProfile, WavepacketSpec, wavepacket_ambient
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -37,30 +37,18 @@ def report(name: str, ok: bool, detail: str = ""):
     return ok
 
 
+def check(name: str, rows) -> bool:
+    """Report a criteria row list with its measured values; True if every
+    row passed."""
+    return report(name, all(passed for *_, passed in rows),
+                  "; ".join(f"{label}={value:.3g}" for label, value, *_ in rows))
+
+
 # ---------------------------------------------------------------------- 1
 
 
 def test_criterion_1_algebra_suite():
-    ok = True
-    details = []
-    for n in (2, 3, 4, 5):
-        cfg = SpacetimeConfig(n=n)
-        r_struct = lorentz.structure_residual(cfg)
-        r_ad = lorentz.iwasawa_ad_residual(cfg)
-        ok &= r_struct < 1e-12 and r_ad < 1e-12
-        # exp of scaled generators reproduces the group matrices
-        from scipy.linalg import expm
-        tau, y = 0.73, np.linspace(0.2, -0.4, n - 1)
-        g_a = expm((tau / cfg.R) * lorentz.generator(cfg, "boost", n, 0))
-        gen_n = sum((y[i] / cfg.R) * lorentz.generator(cfg, "iwasawa_n", i + 1)
-                    for i in range(n - 1))
-        g_n = expm(gen_n)
-        e_a = np.max(np.abs(g_a - lorentz.boost_a(cfg, tau)))
-        e_n = np.max(np.abs(g_n - lorentz.horo_n(cfg, y)))
-        ok &= e_a < 1e-12 and e_n < 1e-12
-        details.append(f"n={n}: struct={r_struct:.1e} ad={r_ad:.1e} "
-                       f"exp_a={e_a:.1e} exp_n={e_n:.1e}")
-    assert report("criterion 1: algebra suite", ok, "; ".join(details))
+    assert check("criterion 1: algebra suite", criteria.algebra())
 
 
 # ---------------------------------------------------------------------- 2
@@ -86,62 +74,17 @@ def test_criterion_2_isometry_suite():
 
 
 def test_criterion_3_contraction_scaling():
-    ok = True
-    details = []
-    scan = np.array([10.0, 100.0, 1000.0, 10000.0])
-    for n in (2, 3, 4):
-        res = np.array([lorentz.poincare_residual(SpacetimeConfig(n=n), R)
-                        for R in scan])
-        slope = float(np.polyfit(np.log(scan), np.log(res), 1)[0])
-        ok &= abs(slope + 1.0) < 0.05
-        details.append(f"n={n}: slope={slope:+.4f}")
-    assert report("criterion 3: contraction slope -1 +- 0.05", ok,
-                  "; ".join(details))
+    assert check("criterion 3: contraction slope -1 +- 0.05",
+                 criteria.contraction())
 
 
 # ---------------------------------------------------------------------- 4
 
 
 def test_criterion_4_wave_equation_suite():
-    ok = True
-    worst_resid = 0.0
-    orders = []
-    cases = [(n, rho, l) for n in (2, 3, 4) for rho in (0.6, 1.1)
-             for l in (0, 1)]
-    assert len(cases) >= 12
-    grid = np.linspace(0.4, 1.6, 5)
-    for n, rho, l in cases:
-        ls = tuple([l] * (n - 2))
-        m = l if n == 2 else 0
-        wave = HyperWave(2, rho, HarmonicIndex(n, m, ls))
-        r = radial_ode_residual(wave, grid, h=1e-3, richardson=True)
-        worst_resid = max(worst_resid, r)
-        ok &= r < 1e-6
-    # convergence order measured with plain central stencils
-    for n, rho, l in [(2, 1.1, 1), (3, 0.6, 1), (4, 1.1, 0)]:
-        ls = tuple([l] * (n - 2))
-        m = l if n == 2 else 0
-        wave = HyperWave(1, rho, HarmonicIndex(n, m, ls))
-        r1 = radial_ode_residual(wave, grid, h=4e-3)
-        r2 = radial_ode_residual(wave, grid, h=2e-3)
-        order = math.log2(r1 / r2)
-        orders.append(order)
-        ok &= abs(order - 2.0) < 0.2
-    # full separated box at chart points
-    for n in (3, 4):
-        wave = HyperWave(2, 0.9, HarmonicIndex(n, 0, tuple([1] * (n - 2))))
-        ch = HyperChart(0.7, tuple([1.1] * (n - 2)), 0.9)
-        r = dalembert_residual(wave, ch, h=1e-3, richardson=True)
-        worst_resid = max(worst_resid, r)
-        ok &= r < 1e-6
-        r1 = dalembert_residual(wave, ch, h=4e-3)
-        r2 = dalembert_residual(wave, ch, h=2e-3)
-        order = math.log2(r1 / r2)
-        orders.append(order)
-        ok &= abs(order - 2.0) < 0.2
-    assert report("criterion 4: wave-equation suite", ok,
-                  f"worst residual={worst_resid:.2e}, orders="
-                  + ",".join(f"{o:.2f}" for o in orders))
+    rows = criteria.wave_equation()
+    assert sum(name.startswith("radial n=") for name, *_ in rows) >= 12
+    assert check("criterion 4: wave-equation suite", rows)
 
 
 # ---------------------------------------------------------------------- 5
@@ -194,17 +137,8 @@ def test_criterion_5_special_functions():
 
 
 def test_criterion_6_appendix_d():
-    worst = 0.0
-    for n in (2, 3, 4):
-        for j in (0, 1):
-            for k in (0, 1):
-                for rho in (0.5, 1.0, 2.0):
-                    oracle = limits.appendix_d_oracle(n, j, k, rho)
-                    closed = specfun.d_abs(n, j, k, rho)
-                    worst = max(worst, abs(oracle - closed) / closed)
-    ok = worst <= 1e-4
-    assert report("criterion 6: appendix |d| oracle vs formula", ok,
-                  f"worst rel err = {worst:.2e} over 36 cases")
+    assert check("criterion 6: appendix |d| oracle vs formula",
+                 criteria.appendix_d())
 
 
 # ---------------------------------------------------------------------- 7
@@ -249,34 +183,13 @@ def test_criterion_7_flat_limit():
 
 
 def test_criterion_8a_single_wave_exponent():
-    ok = True
-    rho = 2.5
-    for n in (2, 3, 4):
-        w = HyperWave(2, rho, HarmonicIndex(n, 0, tuple([0] * (n - 2))))
-        betas = np.linspace(2.5, 14.0, 1200)
-        fit = limits.decay_fit(np.exp(betas), radial_profile(w, betas),
-                               n_windows=3, bin_width=math.pi / rho * 1.05)
-        for sl in fit.slopes:
-            ok &= abs(sl - 0.5 * (n - 1)) < 0.05
-    assert report("criterion 8a: single-wave exponent (n-1)/2 +- 0.05", ok)
+    assert check("criterion 8a: single-wave exponent (n-1)/2 +- 0.05",
+                 criteria.single_wave_exponent())
 
 
 def test_criterion_8c_no_stationary_phase():
-    cfg = SpacetimeConfig(n=4)
-    rng = np.random.default_rng(88)
-    pts = [from_hyper(cfg, HyperChart(rng.normal(),
-                                      tuple(rng.uniform(0.2, 2.9, 2)),
-                                      rng.uniform(0, 2 * np.pi)))
-           for _ in range(10)]
-    dirs = []
-    for th1 in np.linspace(0.15, np.pi - 0.15, 6):
-        for th2 in np.linspace(0.15, np.pi - 0.15, 6):
-            for ph in np.linspace(0, 2 * np.pi, 6, endpoint=False):
-                from dswave.geometry import sphere_point
-                dirs.append(sphere_point(4, (th1, th2), ph))
-    g = limits.phase_gradient_min(cfg, pts, dirs)
-    ok = g > 0.0
-    assert report("criterion 8c: min |grad Phi| > 0", ok, f"min = {g:.3e}")
+    assert check("criterion 8c: min |grad Phi| > 0",
+                 criteria.no_stationary_phase())
 
 
 def test_criterion_8b_wavepacket_fast_decrease():
@@ -317,67 +230,8 @@ def test_criterion_8b_wavepacket_fast_decrease():
 
 
 def test_criterion_9_transform_round_trips():
-    ok = True
-    # hyperbolic pair, n = 2, l_max = 4, rho window
-    grid = QuadratureGrid.build(2, beta_max=24.0, n_beta=8,
-                                rho_window=(0.9, 2.6), n_rho=64, l_max=4,
-                                n_polar=24, n_azimuth=28)
-
-    def band(r):
-        if abs(r - 1.75) >= 0.72:
-            return 0.0
-        return math.exp(-((r - 1.75) / 0.18) ** 2 / 2.0)
-
-    tables = []
-    for r in grid.rho_nodes:
-        hc = HyperCoeffs(rho=float(r))
-        val = band(float(r))
-        if val:
-            hc.table[(2, 1, ())] = complex(val)
-            hc.table[(1, 3, ())] = complex(0.5 * val)
-        tables.append(hc)
-    F = fourier_hyper_inverse(tables, grid, plancherel=True)
-    chis = [fourier_hyper_forward(F, float(r), grid) for r in grid.rho_nodes]
-    F2 = fourier_hyper_inverse(chis, grid, plancherel=True)
-    meas = (grid.beta_weights * np.cosh(grid.beta_nodes))[:, None] \
-        * grid.sphere.weights[None, :]
-    hyper_err = math.sqrt(float(np.sum(np.abs(F2 - F) ** 2 * meas)
-                                / np.sum(np.abs(F) ** 2 * meas)))
-    ok &= hyper_err <= 1e-3
-
-    # Mellin round trip
-    s = np.geomspace(0.05, 20.0, 160)
-
-    def h(sv):
-        v = np.log(sv)
-        out = np.zeros_like(sv)
-        inside = np.abs(v) < 2.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - (v[inside] / 2.0) ** 2))
-        return out
-
-    varpi = lambda r: mellin_forward(h, 2, r, (1e-4, 1e4), 800)
-    back = mellin_inverse(varpi, 2, s, (-170, 170), 9000)
-    mellin_err = float(np.max(np.abs(back.real - h(s))) / np.max(h(s)))
-    ok &= mellin_err <= 1e-6
-
-    # cone parity preservation, exact to quadrature tolerance
-    from dswave.transform import ConeFunction, ConeGrid, cone_fourier_forward
-    cgrid = ConeGrid(n=2, n_theta=64, s_window=(1e-3, 1e3), n_s=240)
-
-    def heven(sv, tp, xp):
-        g = np.exp(-np.log(sv) ** 2 / 2.0) / np.sqrt(sv)
-        return g * (xp[1] ** 2 - xp[0] ** 2 + 0.5 * tp * xp[0])
-
-    psi = cone_fourier_forward(ConeFunction(2, heven, cgrid.s_window),
-                               np.array([0.9, 1.7]), cgrid, method="direct")
-    half = cgrid.n_theta // 2
-    odd = psi.values[1] - np.roll(psi.values[-1], half, axis=0)
-    even = psi.values[1] + np.roll(psi.values[-1], half, axis=0)
-    parity_leak = float(np.max(np.abs(odd)) / np.max(np.abs(even)))
-    ok &= parity_leak < 1e-12
-    assert report("criterion 9: transform round trips", ok,
-                  f"hyper={hyper_err:.2e} mellin={mellin_err:.2e} "
-                  f"cone-parity-leak={parity_leak:.1e}")
+    assert check("criterion 9: transform round trips",
+                 criteria.transform_round_trips())
 
 
 # --------------------------------------------------------------------- 10

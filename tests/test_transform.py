@@ -124,6 +124,25 @@ def test_wavepacket_batch_blocks_match_rows():
     assert np.max(np.abs(vals - rows)) <= 1e-12 * np.max(np.abs(rows))
 
 
+def test_wavepacket_drops_rounded_singular_node():
+    # x = (0, cos th, -sin th) lies on x.xi = 0 for the cap node at angle th,
+    # but x.xi rounds to +-1.4e-17 depending on the call shape; the node
+    # is dropped either way and the two shapes agree
+    n = 2
+    cfg = SpacetimeConfig(n=n)
+    spec = WavepacketSpec(AbsoluteProfile((0.0, 1.0), 0.35),
+                          principal_mass(cfg, 1.5), n_theta=16)
+    xi, _ = spec.cap_nodes()
+    th = math.atan2(xi[5, 1], xi[5, 2])
+    x = np.array([0.0, math.cos(th), -math.sin(th)])
+    one, rep_one = wavepacket_ambient(spec, x, full_output=True)
+    pts = np.stack([x, from_hyper(cfg, HyperChart(0.3, (), 1.0)),
+                    from_hyper(cfg, HyperChart(-0.5, (), 2.0))])
+    batch, rep_batch = wavepacket_ambient(spec, pts, full_output=True)
+    assert rep_one.dropped_nodes == 1 and rep_batch.dropped_nodes == 1
+    assert abs(one - batch[0]) <= 1e-12 * abs(one)
+
+
 def test_wavepacket_solves_wave_equation():
     # FD (box - mu^2) residual on the synthesized field, horospheric chart
     n = 3
