@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, OnSingularSurfaceError
+from .errors import AccuracyError, OnSingularSurfaceError, PoleError
 from .geometry import HoroChart, SpacetimeConfig, from_horo, minkowski_dot
 from .planewave import AmbientWave, principal_mass, psi_ambient
 
@@ -417,32 +417,107 @@ def _bessel_product_series(eta: float, nu: float, terms: int = 24) -> np.ndarray
     return prod
 
 
-# panels per block of the nested eps tail (bounds the nodes held at once)
-_TAIL_BLOCK_PANELS = 2048
+# the Hankel tail starts at y = Y0 = 40, doubled up to 640 while the order
+# needs it; its first omitted term must stay below 1e-15 of the leading one
+_HANKEL_Y0 = 40.0
+_HANKEL_Y0_MAX = 640.0
+_HANKEL_TOL = 1e-15
+# the series panel's e^{-eps y_split} underflows past eps y_split = 700
+_SERIES_PANEL_X_MAX = 700.0
+
+
+def _hankel_terms(eta: float) -> tuple[float, np.ndarray, float]:
+    """(Y0, b_m, estimate) of the Hankel expansion of J_eta past Y0.
+
+    b_m = a_m(eta) Y0^{-m} (DLMF 10.17.1) for the kept terms; the estimate
+    is the first omitted one, which bounds the truncation for real y >= Y0
+    (DLMF 10.17(iii)).  For half-integer eta the expansion terminates and
+    the estimate is 0.  Y0 doubles while a term exceeds the leading one or
+    the terms start to grow before the estimate falls below _HANKEL_TOL;
+    past _HANKEL_Y0_MAX that raises AccuracyError.
+    """
+    y0 = _HANKEL_Y0
+    while True:
+        b = [1.0]
+        while True:
+            m = len(b) - 1
+            nxt = b[-1] * (4.0 * eta * eta - (2 * m + 1) ** 2) / (8.0 * (m + 1) * y0)
+            if abs(nxt) <= _HANKEL_TOL:
+                return y0, np.array(b), abs(nxt)
+            if abs(nxt) > 1.0 or (2 * m + 1 > 2.0 * eta
+                                  and abs(nxt) >= abs(b[-1])):
+                break  # a term above the leading one, or past the smallest
+            b.append(nxt)
+        if y0 >= _HANKEL_Y0_MAX:
+            raise AccuracyError(
+                f"Hankel expansion of J_{eta} does not reach {_HANKEL_TOL:g} "
+                f"relative for y >= {y0:g}")
+        y0 *= 2.0
+
+
+def _hankel_tail(eta: float, nu: float, rho: float,
+                 eps: np.ndarray) -> tuple[float, np.ndarray]:
+    """(Y0, int_{Y0}^inf y^{i rho} J_eta(y) J_nu(y) e^{-eps y} dy) per eps.
+
+    With J_a(y) = sqrt(2/(pi y)) Re[e^{i w_a} sum_m i^m a_m(a) y^{-m}],
+    w_a = y - a pi/2 - pi/4 (DLMF 10.17.3), and nu = +-1/2 (one term),
+    J_eta J_nu = (1/(2 pi y)) sum_m a_m y^{-m} [2 Re(c1 i^m)
+    + c2 i^m e^{2iy} + conj(c2) (-i)^m e^{-2iy}], c1 = e^{-i(eta-nu)pi/2},
+    c2 = e^{-i(eta+nu+1)pi/2}.  Against y^{i rho} e^{-eps y} each term
+    integrates to Y0^{i rho - m} z^{-s} Gamma(s, z) with s = i rho - m and
+    z = p Y0, p = eps, eps - 2i, eps + 2i (DLMF 8.2.2): one gamma_upper call.
+    """
+    y0, b, _ = _hankel_terms(eta)
+    m = np.arange(b.size)
+    c1 = np.exp(-0.5j * math.pi * (eta - nu))
+    c2 = np.exp(-0.5j * math.pi * (eta + nu + 1.0))
+    im = 1j ** m
+    w = b[:, None] * np.stack([2.0 * (c1 * im).real, c2 * im,
+                               np.conj(c2 * im)], axis=1)
+    s = (1j * rho - m)[:, None, None]
+    z = (eps[None, :] + np.array([0.0, -2j, 2j])[:, None]) * y0
+    g = np.exp(-s * np.log(z)) * specfun.gamma_upper(s, z)
+    return y0, y0 ** (1j * rho) / (2.0 * math.pi) * np.sum(w[:, :, None] * g,
+                                                         axis=(0, 1))
 
 
 def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
                          y_split: float = 2.0, panel: float = math.pi / 2.0,
-                         n_nodes: int = 16,
-                         damp_span: float = 34.0) -> complex | np.ndarray:
-    """Regularized integral of y^{i rho} J_eta(y) J_nu(y) e^{-eps y}.
+                         n_nodes: int = 16) -> complex | np.ndarray:
+    """Regularized integral I(eps) of y^{i rho} J_eta(y) J_nu(y) e^{-eps y}.
 
     eta = (n + 2j - 2)/2 and nu = -1/2 (k even) or +1/2 (k odd).  The
-    oscillatory-at-the-origin factor y^{i rho} is handled by a power-series
-    panel on [0, y_split] (term-wise closed-form integration); the tail by
-    Gauss panels out to where the damping has cut off,
-    ymax = max(damp_span/eps, y_split + 20).
+    integral splits at y_split and at a cut Y0 = 40:
+
+    * [0, y_split]: the power series of J_eta J_nu, each term of which
+      integrates against y^{i rho} e^{-eps y} to a lower incomplete Gamma
+      function, specfun.gamma_lower_scaled (DLMF 8.7.1; it handles the
+      oscillation of y^{i rho} at the origin; eps * y_split above 700,
+      where e^{-eps y_split} underflows, raises AccuracyError);
+    * [y_split, Y0]: Gauss-Legendre panels of width about `panel` with
+      n_nodes nodes;
+    * [Y0, inf): the Hankel expansion of J_eta (DLMF 10.17.3; J_{+-1/2} is
+      its one-term case), each term of which integrates in closed form to
+      an upper incomplete Gamma function (DLMF 8.2.2), evaluated by
+      specfun.gamma_upper (DLMF 8.7.1 and 8.9.2).
+
+    The expansion is exact for half-integer eta.  For integer eta it is
+    cut at the first term below 1e-15 of the leading one, which bounds
+    the truncation error for real y >= Y0 (DLMF 10.17(iii)); Y0 doubles,
+    up to 640, while the order needs it, and AccuracyError is raised
+    beyond that.
 
     eps is a positive finite scalar (the result is a complex) or a 1-D
-    array (one value per eps, in input order).  Every eps shares y_split,
-    the panel width and the Gauss rule, so its panel edges
-    arange(y_split, ymax + panel, panel) are a prefix of those of the
-    smallest eps: the undamped integrand is evaluated once over the
-    longest range, in blocks of _TAIL_BLOCK_PANELS panels, and each eps
-    accumulates its e^{-eps y}-weighted sum over its own prefix.
+    array (one value per eps, in input order); the Bessel values on
+    [y_split, Y0] are shared by every eps.  rho <= 0 raises PoleError
+    (the Gamma(i rho) of the eps^{-i rho} tail has its pole at 0); n < 2,
+    j < 0 or k < 0 raise ValueError.
     """
-    from scipy.special import roots_legendre
-
+    if n < 2 or j < 0 or k < 0:
+        raise ValueError(f"the Bessel-pair integral needs n >= 2, j >= 0 and "
+                         f"k >= 0, got n={n}, j={j}, k={k}")
+    if rho <= 0:
+        raise PoleError(f"the Bessel-pair integral needs rho > 0, got {rho}")
     eps_arr = np.asarray(eps, dtype=float)
     if eps_arr.ndim > 1 or eps_arr.size == 0:
         raise ValueError("eps must be a scalar or a non-empty 1-D array")
@@ -451,40 +526,30 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
     eps_vec = np.atleast_1d(eps_arr)
     eta = 0.5 * (n + 2 * j - 2)
     nu = 0.5 if k % 2 else -0.5
+    y0, val = _hankel_tail(eta, nu, rho, eps_vec)
+    if not 0.0 < y_split < y0:
+        raise ValueError(f"y_split must lie in (0, {y0:g}), got {y_split}")
+    # series panel: J_eta J_nu = sum_p a_p (y/2)^{w_p - 1 - i rho} with
+    # w_p = eta+nu+2p+1+i rho, and int_0^Y y^{w-1} e^{-eps y} dy =
+    # Y^w x^{-w} gamma(w, x) at x = eps Y; unlike the Taylor series of
+    # e^{-eps y} this sum does not cancel or need more terms as eps grows
     a_p = _bessel_product_series(eta, nu)
-    # series panel: sum_p a_p 2^{-(eta+nu+2p)} sum_r (-eps)^r/r! *
-    #               y_split^{w+1}/(w+1),  w = eta+nu+2p+r+i rho
-    val = np.zeros(eps_vec.size, dtype=complex)
-    for p, ap in enumerate(a_p):
-        if ap == 0.0:
-            continue
-        base = eta + nu + 2 * p
-        scale = ap * 2.0 ** (-base)
-        fr = np.ones(eps_vec.size)
-        for r in range(18):
-            w = base + r + 1j * rho
-            val += scale * fr * y_split ** (w + 1.0) / (w + 1.0)
-            fr *= (-eps_vec) / (r + 1)
-    # Gauss panels for the tail, nested over eps
-    def tail_edges(e):
-        return np.arange(y_split, max(damp_span / e, y_split + 20.0) + panel,
-                         panel)
-
-    counts = [tail_edges(e).size - 1 for e in eps_vec]
-    edges = tail_edges(eps_vec.min())
-    xg, wg = roots_legendre(n_nodes)
-    for start in range(0, edges.size - 1, _TAIL_BLOCK_PANELS):
-        block = edges[start:start + _TAIL_BLOCK_PANELS + 1]
-        los, his = block[:-1], block[1:]
-        yy = (0.5 * (his - los)[:, None] * xg[None, :]
-              + 0.5 * (his + los)[:, None]).ravel()
-        ww = (0.5 * (his - los)[:, None] * wg[None, :]).ravel()
-        g = (ww * yy ** (1j * rho) * specfun.bessel_j(eta, yy)
-             * specfun.bessel_j(nu, yy))
-        for i, (e, c) in enumerate(zip(eps_vec, counts)):
-            m = (min(c, start + his.size) - start) * n_nodes
-            if m > 0:
-                val[i] += np.sum(g[:m] * np.exp(-e * yy[:m]))
+    base = eta + nu + 2.0 * np.arange(a_p.size)
+    w = base + 1.0 + 1j * rho
+    x = eps_vec * y_split
+    if x.max() > _SERIES_PANEL_X_MAX:
+        raise AccuracyError(f"eps*y_split = {x.max():g} above "
+                            f"{_SERIES_PANEL_X_MAX:g}: e^(-eps y) underflows")
+    lower = specfun.gamma_lower_scaled(w[:, None], x[None, :])
+    val += np.sum((a_p * 2.0 ** (-base) * y_split ** w)[:, None] * lower, axis=0)
+    # Gauss panels on [y_split, Y0]
+    edges = np.linspace(y_split, y0, math.ceil((y0 - y_split) / panel) + 1)
+    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    yy = (half * xg + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+    g = ((half * wg).ravel() * yy ** (1j * rho) * specfun.bessel_j(eta, yy)
+         * specfun.bessel_j(nu, yy))
+    val += np.sum(np.exp(-eps_vec[:, None] * yy) * g, axis=1)
     return complex(val[0]) if eps_arr.ndim == 0 else val
 
 
@@ -498,12 +563,13 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
     eps -> 0 value is extracted by least squares against the basis
     {eps^m, eps^{m - i rho}}, m = 0..fit_order; |d| is then assembled as
     |Gamma((n-1)/2 + i rho)| e^{pi rho/2} / ((2 pi)^{(n+1)/2} |I|).
-    All I(eps) come from one bessel_pair_integral call, whose tail pass is
-    shared by every eps.
+    All I(eps) come from one bessel_pair_integral call, whose Bessel values
+    and Gamma functions serve every eps.
 
     Raises AccuracyError when the extrapolation is unstable (leave-one-out
-    spread above rel_check), and ValueError for an eps that is not
-    positive and finite.
+    spread above rel_check); bessel_pair_integral raises PoleError for
+    rho <= 0 and ValueError for a sector outside n >= 2, j >= 0, k >= 0 or
+    an eps that is not positive and finite.
     """
     if eps_values is None:
         eps_values = np.geomspace(2e-3, 1.5e-1, 10)

@@ -1,6 +1,7 @@
 """Special-function kernel: complex log-Gamma, Gauss 2F1, Legendre/Gegenbauer
 functions, hyperspherical harmonics, Bessel J, and the normalization
-constants of the hyperbolic plane waves and of the cone intertwiner.
+constants of the hyperbolic plane waves and of the cone intertwiner, and
+the incomplete Gamma functions.
 
 2F1 lives in one kernel: gauss_2f1_array (gauss_2f1 is its one-point call)
 sums the one power series, _series_2f1_array, below a switch point v* and
@@ -24,6 +25,8 @@ __all__ = [
     "HarmonicIndex",
     "ln_gamma",
     "abs_gamma_sq",
+    "gamma_upper",
+    "gamma_lower_scaled",
     "gauss_2f1",
     "gauss_2f1_array",
     "gauss_2f1_regularized",
@@ -116,6 +119,105 @@ def _log_sin_pi(z: complex) -> complex:
 def abs_gamma_sq(z: complex) -> float:
     """|Gamma(z)|^2 = exp(2 Re log Gamma(z))."""
     return float(np.exp(2.0 * ln_gamma(z).real))
+
+
+# gamma_upper: |z| below which the Kummer series runs, the step cap of
+# either method, and the relative size of the last step at convergence
+# (one rounding unit)
+_GAMMA_SERIES_RADIUS = 1.0
+_GAMMA_MAX_STEPS = 1000
+_GAMMA_TOL = 2.3e-16
+
+
+def gamma_upper(s, z) -> np.ndarray:
+    """Upper incomplete Gamma function Gamma(s, z), broadcast over s and z.
+
+    z must lie off the branch cut (-inf, 0] of z^s; on it the call raises
+    UnsupportedCaseError.  Each element takes one of two methods:
+
+    * |z| < 1: Gamma(s) - z^s e^{-z} sum_k z^k / (s)_{k+1}, the Kummer form
+      of gamma(s, z) (DLMF 8.7.1, gamma_lower_scaled), with Gamma(s) from
+      ln_gamma; a non-positive integer s raises PoleError.  The
+      subtraction loses at most about two digits there, more at larger |z|;
+    * otherwise the continued fraction of DLMF 8.9.2 (even part),
+      evaluated by the modified Lentz method.  Its step count grows as |z|
+      shrinks: up to about 90 at |z| = 1 and 10 at |z| = 80.
+
+    Either raises AccuracyError when it has not converged in
+    _GAMMA_MAX_STEPS steps.
+    """
+    s, z = np.broadcast_arrays(np.asarray(s, dtype=complex),
+                               np.asarray(z, dtype=complex))
+    if np.any((z.imag == 0.0) & (z.real <= 0.0)):
+        raise UnsupportedCaseError(
+            "Gamma(s, z) needs z off the branch cut (-inf, 0]")
+    out = np.empty(s.shape, dtype=complex)
+    near = np.abs(z) < _GAMMA_SERIES_RADIUS
+    if np.any(near):
+        sn, zn = s[near], z[near]
+        uniq, inv = np.unique(sn, return_inverse=True)
+        gam = np.exp(np.array([ln_gamma(v) for v in uniq]))[inv]
+        out[near] = gam - zn ** sn * gamma_lower_scaled(sn, zn)
+    if not np.all(near):
+        out[~near] = _gamma_upper_fraction(s[~near], z[~near])
+    return out[()]
+
+
+def gamma_lower_scaled(s, z) -> np.ndarray:
+    """z^{-s} gamma(s, z) = e^{-z} sum_k z^k / (s)_{k+1}, broadcast over s and z.
+
+    The Kummer form of the lower incomplete Gamma function (DLMF 8.7.1),
+    entire in z.  e^{-z} rides in the first term, so nothing overflows for
+    real z up to 700, and for real z > 0 and Re s > 0 the terms do not
+    alternate, so nothing cancels.
+    s must not be a non-positive integer.  Raises AccuracyError when the
+    sum has not converged in _GAMMA_MAX_STEPS terms.
+    """
+    s, z = np.broadcast_arrays(np.asarray(s, dtype=complex),
+                               np.asarray(z, dtype=complex))
+    term = np.exp(-z) / s
+    acc = term
+    for k in range(1, _GAMMA_MAX_STEPS):
+        term = term * z / (s + k)
+        acc = acc + term
+        # past k > |z| - Re s every later term shrinks by a ratio below 1
+        if np.all((np.abs(term) <= _GAMMA_TOL * np.abs(acc))
+                  & (k + s.real > np.abs(z))):
+            return acc[()]
+    raise AccuracyError(f"Kummer sum of gamma(s, z) did not converge in "
+                        f"{_GAMMA_MAX_STEPS} terms")
+
+
+def _gamma_upper_fraction(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    tiny = 1e-300
+    out = np.empty(s.shape, dtype=complex)
+    live, sl = np.arange(s.size), s
+    b = z + 1.0 - s
+    c = np.full(s.shape, 1.0 / tiny, dtype=complex)
+    d = 1.0 / b
+    h = d
+    for i in range(1, _GAMMA_MAX_STEPS):
+        an = -i * (i - sl)
+        b = b + 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        # a converged element leaves the iteration, so its value does not
+        # depend on the other elements of the call
+        fin = np.abs(delta - 1.0) <= _GAMMA_TOL
+        if np.any(fin):
+            out[live[fin]] = h[fin]
+            keep = ~fin
+            live, sl, b, c, d, h = (live[keep], sl[keep], b[keep], c[keep],
+                                    d[keep], h[keep])
+            if live.size == 0:
+                return np.exp(s * np.log(z) - z) * out
+    raise AccuracyError(f"Gamma(s, z) continued fraction did not converge "
+                        f"in {_GAMMA_MAX_STEPS} steps")
 
 
 def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dswave import limits, specfun
-from dswave.errors import OnSingularSurfaceError
+from dswave.errors import AccuracyError, OnSingularSurfaceError, PoleError
 from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper, origin
 from dswave.limits import (appendix_d_oracle, bessel_pair_integral,
                            casimir_action_limit, decay_fit,
@@ -315,16 +315,36 @@ def test_bessel_pair_integral_vs_closed_form():
 @pytest.mark.parametrize("eps", [
     np.geomspace(2e-3, 1.5e-1, 10),
     np.array([0.07, 2e-3, 0.15, 0.011, 0.03]),
-    np.array([0.4, 1.6, 3.0]),  # 34/eps < 22: ymax floors at y_split + 20
+    np.array([0.4, 1.6, 3.0]),  # eps Y0 > 10: the tail's Gammas take the fraction
 ], ids=["default", "unsorted", "floor"])
 def test_bessel_pair_integral_array_matches_scalar(eps):
-    # one nested tail pass for all eps equals one pass per eps
+    # one call for all eps equals one call per eps
     for (n, j, k, rho) in [(2, 0, 0, 1.0), (3, 1, 1, 0.5), (4, 2, 1, 2.0)]:
         scalar = [bessel_pair_integral(n, j, k, rho, float(e)) for e in eps]
         assert all(type(v) is complex for v in scalar)
         nested = bessel_pair_integral(n, j, k, rho, eps)
         assert nested.shape == eps.shape
         assert np.all(np.abs(nested - scalar) <= 1e-13 * np.abs(scalar))
+
+
+def test_bessel_pair_integral_large_eps_vs_mpmath():
+    # eps * y_split of 3.2 and 6: the e^{-eps y} factor of the series panel
+    # must be summed in full, not cut after a fixed number of Taylor terms
+    n, j, k, rho = 4, 2, 1, 2.0
+    eta, nu = mp.mpf(n + 2 * j - 2) / 2, mp.mpf(1) / 2
+    for eps in (1.6, 3.0):
+        ref = complex(mp.quad(
+            lambda y: (y ** (1j * rho) * mp.besselj(eta, y) * mp.besselj(nu, y)
+                       * mp.exp(-eps * y)),
+            [0, 0.5, 2] + [2 + 2 * i for i in range(1, int(40 / eps) // 2 + 2)]))
+        got = bessel_pair_integral(n, j, k, rho, eps)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_bessel_pair_integral_rejects_underflowing_eps():
+    bessel_pair_integral(3, 0, 1, 0.7, 350.0)
+    with pytest.raises(AccuracyError, match="underflows"):
+        bessel_pair_integral(3, 0, 1, 0.7, 351.0)
 
 
 @pytest.mark.parametrize("eps", [0.0, np.nan, np.inf])
@@ -345,6 +365,62 @@ def test_appendix_oracle_rejects_zero_eps():
     with pytest.raises(ValueError, match="positive and finite"):
         appendix_d_oracle(2, 0, 0, 1.0,
                           eps_values=[0.0, *np.geomspace(2e-3, 1.5e-1, 9)])
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 1.5, 3.0, 9.0])
+def test_hankel_terms_match_bessel_j(eta):
+    # the kept terms reproduce J_eta past Y0 to the truncation target
+    # (eta = 9 needs Y0 = 80; eta = 3/2 terminates)
+    y0, b, est = limits._hankel_terms(eta)
+    assert est <= limits._HANKEL_TOL and (est == 0.0) == (eta % 1 == 0.5)
+    y = np.linspace(y0, 4 * y0, 301)
+    # e^{iy} apart from the constant phase: y up to 4 Y0 rounds as an angle
+    phase = np.exp(1j * y) * np.exp(-0.5j * math.pi * (eta + 0.5))
+    series = ((1j ** np.arange(b.size)) * b) @ ((y0 / y) ** np.arange(b.size)[:, None])
+    env = np.sqrt(2.0 / (math.pi * y))
+    hankel = env * (phase * series).real
+    assert np.max(np.abs(hankel - specfun.bessel_j(eta, y)) / env) <= 1e-14
+
+
+@pytest.mark.parametrize("n,j,k", [(4, 0, 0), (3, 1, 1)],
+                         ids=["eta=1", "eta=3/2"])
+def test_hankel_tail_vs_gauss_panels(n, j, k):
+    # the closed-form tail on [Y0, inf) against Gauss panels of bessel_j
+    # out to 34/eps, where the damping is below 2e-15
+    eps, rho = 0.15, 1.3
+    eta, nu = 0.5 * (n + 2 * j - 2), 0.5 if k % 2 else -0.5
+    y0, tail = limits._hankel_tail(eta, nu, rho, np.array([eps]))
+    edges = np.arange(y0, 34.0 / eps + math.pi / 2, math.pi / 2)
+    x, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    yy = (half * x + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
+    brute = np.sum((half * w).ravel() * yy ** (1j * rho) * np.exp(-eps * yy)
+                   * specfun.bessel_j(eta, yy) * specfun.bessel_j(nu, yy))
+    total = bessel_pair_integral(n, j, k, rho, eps)
+    assert abs(tail[0] - brute) <= 1e-12 * abs(total)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0])
+def test_bessel_pair_integral_rejects_nonpositive_rho(rho):
+    # Gamma(i rho) of the eps^{-i rho} tail has its pole at rho = 0
+    with pytest.raises(PoleError, match="rho > 0"):
+        bessel_pair_integral(2, 0, 0, rho, 0.1)
+    with pytest.raises(PoleError, match="rho > 0"):
+        appendix_d_oracle(2, 0, 0, rho)
+
+
+@pytest.mark.parametrize("n,j,k", [(1, 0, 0), (2, -1, 0), (2, 0, -1)])
+def test_bessel_pair_integral_rejects_bad_sector(n, j, k):
+    with pytest.raises(ValueError, match="n >= 2, j >= 0 and k >= 0"):
+        bessel_pair_integral(n, j, k, 1.0, 0.1)
+    with pytest.raises(ValueError, match="n >= 2, j >= 0 and k >= 0"):
+        appendix_d_oracle(n, j, k, 1.0)
+
+
+def test_bessel_pair_integral_order_beyond_hankel_reach():
+    # eta = 60: the Hankel terms grow past the leading one up to Y0 = 640
+    with pytest.raises(AccuracyError, match="Hankel"):
+        bessel_pair_integral(2, 60, 0, 1.0, 0.1)
 
 
 def test_parity_selector_in_bessel_order():

@@ -66,6 +66,68 @@ def test_ln_gamma_vs_scipy():
         assert abs(a - b) / abs(b) < 1e-12
 
 
+# --------------------------------------------------- upper incomplete Gamma
+
+
+def test_gamma_upper_vs_mpmath():
+    # the arguments of the |d| oracle's Hankel tail: s = i rho - m for every
+    # kept term m of the orders eta = 0 .. 7/2, z = p Y0 with p = eps and
+    # eps -+ 2i, over the default eps grid and the floor grid
+    from dswave import limits
+    y0 = limits._HANKEL_Y0
+    m = np.arange(max(limits._hankel_terms(e)[1].size
+                      for e in np.arange(0.0, 4.0, 0.5)))
+    eps = np.concatenate([np.geomspace(2e-3, 1.5e-1, 10), [0.4, 1.6, 3.0]])
+    z = np.concatenate([eps, eps - 2j, eps + 2j]) * y0
+    for rho in (0.3, 1.0, 3.0):
+        s = 1j * rho - m
+        got = specfun.gamma_upper(s[:, None], z[None, :])
+        assert got.shape == (m.size, z.size)
+        for k, zk in enumerate(z):
+            # mpmath's gammainc at m = 0, then down in m by the recurrence
+            # Gamma(s, z) = (Gamma(s + 1, z) - z^s e^{-z}) / s (DLMF 8.8.2)
+            # at 40 digits (the recurrence loses up to 13 of them at |z| = 80;
+            # gammainc itself takes about 6 ms per complex-z call at m > 0)
+            with mp.workdps(40):
+                zm = mp.mpc(complex(zk))
+                ref = mp.gammainc(mp.mpc(0, rho), zm)
+                for i, si in enumerate(s):
+                    if i:
+                        sm = mp.mpc(complex(si))
+                        ref = (ref - zm ** sm * mp.exp(-zm)) / sm
+                    r = complex(ref)
+                    assert abs(got[i, k] - r) <= 1e-12 * abs(r), (si, zk)
+
+
+def test_gamma_upper_scalar_and_series_branch():
+    # |z| < 1 takes the Kummer series, with Gamma(s) from ln_gamma
+    for s, z in ((2.5, 0.3), (0.5j - 4.0, 0.5 - 0.5j), (1.0 + 2.0j, 1.5)):
+        got = specfun.gamma_upper(s, z)
+        assert isinstance(got, complex)
+        ref = complex(mp.gammainc(s, z))
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_gamma_lower_scaled_vs_mpmath():
+    # z^{-s} gamma(s, z), the series panel of the |d| oracle: Re s from 1/2
+    # to about 50, z = eps * y_split up to 700
+    s = np.array([0.5 + 2.0j, 24.5 + 1.0j, 1.5 + 0.7j, 49.5 + 0.3j])
+    z = np.array([1e-3, 6.0, 600.0, 700.0])
+    got = specfun.gamma_lower_scaled(s[:, None], z[None, :])
+    assert got.shape == (4, 4)
+    for (i, k), g in np.ndenumerate(got):
+        ref = complex(mp.mpf(z[k]) ** (-mp.mpc(s[i])) * mp.gammainc(s[i], 0, z[k]))
+        assert abs(g - ref) <= 1e-12 * abs(ref), (s[i], z[k])
+
+
+@pytest.mark.parametrize("z", [0.0, -1.5])
+def test_gamma_upper_rejects_branch_cut(z):
+    with pytest.raises(UnsupportedCaseError, match="branch cut"):
+        specfun.gamma_upper(0.5j, z)
+    with pytest.raises(UnsupportedCaseError, match="branch cut"):
+        specfun.gamma_upper(np.array([0.5j, 1.0j]), np.array([2.0, z]))
+
+
 # ------------------------------------------------------------------ 2F1
 
 
