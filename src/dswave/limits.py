@@ -375,23 +375,20 @@ def spectral_smearing_contrast(n: int = 2, rho_center: float = 2.5,
     """
     from scipy.special import roots_legendre
 
-    from .planewave import HyperWave, radial_profile
-    from .specfun import HarmonicIndex
+    from .planewave import radial_table
 
-    idx = HarmonicIndex(n, 0, tuple([0] * (n - 2)))
     betas = np.linspace(beta_span[0], beta_span[1], n_beta)
+    nodes, wts = roots_legendre(48)
+    bump = np.exp(1.0 - 1.0 / (1.0 - nodes**2))
     out = {}
     edges = np.linspace(beta_span[0], beta_span[1], 4)
     for w in widths:
         if w == 0.0:
-            field = radial_profile(HyperWave(2, rho_center, idx), betas)
+            rhos, weights = np.array([rho_center]), np.ones(1)
         else:
-            nodes, wts = roots_legendre(48)
-            rhos = rho_center + 0.5 * w * nodes
-            bump = np.exp(1.0 - 1.0 / (1.0 - nodes**2))
-            field = np.zeros(betas.size, dtype=complex)
-            for r, ww, b in zip(rhos, 0.5 * w * wts, bump):
-                field += ww * b * radial_profile(HyperWave(2, float(r), idx), betas)
+            rhos, weights = rho_center + 0.5 * w * nodes, 0.5 * w * wts * bump
+        # one table call over every rho node of the width, top label 0
+        field = weights @ radial_table(n, 2, rhos, [0], betas)[0][:, 0]
         norm = np.abs(field) * np.exp(0.5 * (n - 1) * betas)
         peaks = []
         for lo, hi in zip(edges[:-1], edges[1:]):

@@ -14,8 +14,10 @@ hypergeometric factors with parameters
 (l the top chain label).  The sign of i rho inside a, b is opposite to the
 prefactor's: that pairing is the one that solves the radial equation, as the
 residual engines below verify; `mirror_params=True` evaluates the other
-pairing for comparison (see ode_variant_report).  The 2F1 factor and its
-large-beta constants come from specfun (gauss_2f1_array, connection_gammas).
+pairing for comparison (see ode_variant_report).  radial_table holds the
+one copy of the radial factor: one specfun 2F1 call over every (rho, top
+label) pair it is asked for; radial_profile is its one-point call.  The
+large-beta constants come from specfun.connection_gammas.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "hyper_2f1_params",
     "psi_hyper",
     "radial_profile",
+    "radial_table",
     "connection_constants",
     "asymptotic_leading",
     "parity",
@@ -143,13 +146,18 @@ class HyperWave:
         return self.idx.n
 
 
-def hyper_2f1_params(wave: HyperWave, mirror_params: bool = False):
-    """(a, b, c) of the wave's hypergeometric factor."""
-    n, l, rho = wave.n, wave.idx.top, wave.rho
-    ir = 1j * rho if mirror_params else -1j * rho
-    if wave.alpha == 2:
+def _params_2f1(n: int, alpha: int, rho, l, mirror_params: bool = False):
+    """(a, b, c) of the radial 2F1, broadcast over arrays of rho and l."""
+    ir = 1j * np.asarray(rho) * (1.0 if mirror_params else -1.0)
+    if alpha == 2:
         return (ir + l + 0.5 * (n - 1)) / 2, (ir - l - 0.5 * (n - 3)) / 2, 0.5
     return (ir + l + 0.5 * (n + 1)) / 2, (ir - l - 0.5 * (n - 5)) / 2, 1.5
+
+
+def hyper_2f1_params(wave: HyperWave, mirror_params: bool = False):
+    """(a, b, c) of the wave's hypergeometric factor."""
+    a, b, c = _params_2f1(wave.n, wave.alpha, wave.rho, wave.idx.top, mirror_params)
+    return complex(a), complex(b), c
 
 
 # Below this sech^2 is subnormal with fewer than 32 significant bits, and the
@@ -157,28 +165,56 @@ def hyper_2f1_params(wave: HyperWave, mirror_params: bool = False):
 _SECH2_MIN = 2.0 ** -1042
 
 
-def radial_profile(wave: HyperWave, beta, mirror_params: bool = False,
-                   cfg: SpecFunConfig | None = None):
-    """Radial factor V(beta), including the K-normalization prefactor;
-    AccuracyError where sech^2(beta) < _SECH2_MIN (|beta| > 361.8)."""
-    sf = cfg or SpecFunConfig()
-    a, b, c = hyper_2f1_params(wave, mirror_params)
-    n, l, rho = wave.n, wave.idx.top, wave.rho
-    K = specfun.norm_K(wave.alpha, n, l, rho)
+def radial_table(n: int, alpha: int, rhos, tops, beta,
+                 mirror_params: bool = False, cfg: SpecFunConfig | None = None):
+    """Radial factors V_{alpha,l}(beta; rho), K-normalization included, for
+    every rho in rhos and top label l in tops, from one 2F1 call over the
+    (rho, l) parameter sets.
+
+    Returns (V, digits_lost): V has shape (n_rho, n_top) + beta.shape, and
+    digits_lost is the worst cancellation of the 2F1 values, at most 8
+    (specfun.gauss_2f1_array raises AccuracyError beyond).  Raises
+    AccuracyError where sech^2(beta) < _SECH2_MIN (|beta| > 361.8).
+    """
+    if alpha not in (1, 2):
+        raise ValueError("alpha must be 1 (odd) or 2 (even)")
+    rhos = np.asarray(rhos, dtype=float).reshape(-1, 1)
+    tops = np.asarray(tops).reshape(1, -1)
     beta = np.asarray(beta, dtype=float)
+    # V(-beta) = +-V(beta): the 2F1 factor and the envelope run on the
+    # distinct |beta| only
+    ab, back = np.unique(np.abs(beta), return_inverse=True)
     # sech^2 and log cosh from e = e^{-2|beta|}, which cannot overflow
-    e = np.exp(-2.0 * np.abs(beta))
+    e = np.exp(-2.0 * ab)
     w = 4.0 * e / (1.0 + e) ** 2
     if np.any(w < _SECH2_MIN):
         raise AccuracyError(
-            f"|beta| = {np.max(np.abs(beta)):g} too large: sech^2 underflows")
-    log_cosh = np.abs(beta) + np.log1p(e) - np.log(2.0)
-    f = specfun.gauss_2f1_array(a, b, c, np.atleast_1d(np.tanh(beta) ** 2), sf,
-                                one_minus_v=np.atleast_1d(w)).reshape(beta.shape)
-    env = np.exp(complex(-0.5 * (n - 1), rho) * log_cosh)
-    if wave.alpha == 2:
-        return f * env / np.sqrt(K)
-    return 2.0 * np.tanh(beta) * f * env / np.sqrt(K)
+            f"|beta| = {np.max(ab):g} too large: sech^2 underflows")
+    log_cosh = ab + np.log1p(e) - np.log(2.0)
+    K = np.array([[specfun.norm_K(alpha, n, int(l), float(r)) for l in tops[0]]
+                  for r in rhos[:, 0]])
+    f, lost = specfun._gauss_2f1(*_params_2f1(n, alpha, rhos, tops, mirror_params),
+                                 np.tanh(ab) ** 2, cfg or SpecFunConfig(),
+                                 one_minus_v=w)
+    env = np.exp((-0.5 * (n - 1) + 1j * rhos[:, :, None]) * log_cosh)
+    V = np.take(f * env, back.ravel(), axis=2)
+    if alpha == 1:
+        V = 2.0 * np.tanh(beta.ravel()) * V
+    V = V / np.sqrt(K)[:, :, None]
+    return (V.reshape(rhos.shape[0], tops.shape[1], *beta.shape),
+            float(lost.max(initial=0.0)))
+
+
+def radial_profile(wave: HyperWave, beta, mirror_params: bool = False,
+                   cfg: SpecFunConfig | None = None):
+    """Radial factor V(beta), including the K-normalization prefactor: the
+    one-point call of radial_table.  Its 2F1 factor loses at most 8 digits
+    to cancellation (the budget of specfun.gauss_2f1_array, which raises
+    AccuracyError beyond, from rho of about 100 at small beta); AccuracyError also
+    where sech^2(beta) < _SECH2_MIN (|beta| > 361.8)."""
+    V, _ = radial_table(wave.n, wave.alpha, [wave.rho], [wave.idx.top], beta,
+                        mirror_params, cfg)
+    return V[0, 0][()]
 
 
 def psi_hyper(wave: HyperWave, chart: HyperChart, mirror_params: bool = False,

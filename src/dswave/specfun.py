@@ -7,8 +7,15 @@ the incomplete Gamma functions.
 sums the one power series, _series_2f1_array, below a switch point v* and
 evaluates the 1-v connection formula above it, with the Gamma ratios of
 connection_gammas; gauss_2f1_regularized runs the same series.  The
-principal-series parameters always have non-integer c-a-b, which keeps the
-connection formula non-degenerate.
+kernel broadcasts over parameters: P sets (a, b, c) against V points,
+summed in blocks of 16 terms, each block one (P x 16) @ (16 x V) complex
+product of coefficients (a cumprod of the term ratio) and powers of v.
+The same block adds sum |c_k v^k|, so each element knows the digits it
+lost to cancellation: a direct-series element over the 8-digit budget is
+recomputed by the connection formula, and a connection value over it
+raises AccuracyError (DLMF 15.2, 15.8).  The principal-series parameters
+always have non-integer c-a-b, which keeps the connection formula
+non-degenerate.
 """
 
 from __future__ import annotations
@@ -224,15 +231,57 @@ def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
     return abs(z.imag) < tol and z.real < 0.5 and abs(z.real - round(z.real)) < tol
 
 
-def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig) -> np.ndarray:
-    term = np.ones_like(v, dtype=complex)
-    acc = np.ones_like(v, dtype=complex)
-    for k in range(cfg.max_terms):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * v
-        acc += term
-        if np.all(np.abs(term) <= cfg.series_tol * np.maximum(np.abs(acc), 1e-300)):
-            return acc
+# terms per block of the 2F1 series: one (P x 16) @ (16 x V) product adds a
+# block to every (parameter set, point) sum
+_SERIES_BLOCK = 16
+# most decimal digits an element may lose to cancellation: a direct-series
+# element over it is recomputed by the connection formula, and a connection
+# element over it raises AccuracyError
+_DIGIT_BUDGET = 8.0
+
+
+def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig):
+    """sum_k (a)_k (b)_k / ((c)_k k!) v^k for P parameter sets (a, b, c
+    broadcast to shape (P,)) against V points v >= 0.
+
+    Returns (sum, mass), each (P, V), with mass = sum_k |c_k v^k|: its
+    ratio to |sum| is the cancellation the sum suffered.  Each block takes
+    the coefficients c_k from a cumprod of the term ratio and the powers
+    v^k as columns, so the block is one complex and one real matrix
+    product.  A set leaves the loop once the last term of every point is
+    within series_tol of its sum (checked at block ends), so its values
+    do not depend on the other sets of the call.
+    """
+    a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
+    v = np.asarray(v, dtype=float)
+    acc = np.ones((a.size, v.size), dtype=complex)
+    mass = np.ones((a.size, v.size))
+    live = np.arange(a.size)
+    coef = np.ones(a.size, dtype=complex)       # c_k at the block start
+    vk = np.ones(v.size)                        # v^k at the block start
+    steps = np.arange(_SERIES_BLOCK)
+    vpow = v[None, :] ** (steps[:, None] + 1.0)  # v^1 .. v^16
+    for k0 in range(0, cfg.max_terms, _SERIES_BLOCK):
+        k = k0 + steps
+        ratio = ((a[live, None] + k) * (b[live, None] + k)
+                 / ((c[live, None] + k) * (k + 1.0)))
+        cs = coef[:, None] * np.cumprod(ratio, axis=1)
+        pw = vk * vpow
+        acc[live] += cs @ pw
+        mass[live] += np.abs(cs) @ pw
+        coef, vk = cs[:, -1], pw[-1]
+        last = np.abs(coef)[:, None] * vk
+        fin = np.all(last <= cfg.series_tol
+                     * np.maximum(np.abs(acc[live]), 1e-300), axis=1)
+        if np.all(fin):
+            return acc, mass
+        live, coef = live[~fin], coef[~fin]
     raise AccuracyError(f"2F1 series did not converge in {cfg.max_terms} terms")
+
+
+def _digits_lost(mass, value):
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.log10(mass / np.abs(value)), 0.0)
 
 
 def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -240,9 +289,26 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
     2F1(a,b;c;v) = G1 F(a,b;a+b-c+1;1-v) + G2 (1-v)^{c-a-b} F(c-a,c-b;c-a-b+1;1-v).
     """
     s = c - a - b
-    g1 = np.exp(ln_gamma(c) + ln_gamma(s) - ln_gamma(c - a) - ln_gamma(c - b))
-    g2 = np.exp(ln_gamma(c) + ln_gamma(-s) - ln_gamma(a) - ln_gamma(b))
+    lc = ln_gamma(c)
+    g1 = np.exp(lc + ln_gamma(s) - ln_gamma(c - a) - ln_gamma(c - b))
+    g2 = np.exp(lc + ln_gamma(-s) - ln_gamma(a) - ln_gamma(b))
     return complex(g1), complex(g2)
+
+
+def _connection_2f1(a, b, c, w, cfg: SpecFunConfig):
+    """2F1 by the 1-v connection formula for parameter sets (P,) against
+    points w = 1 - v (V,): values and digits lost, each (P, V).  The loss
+    counts both series and the cancellation between the two terms."""
+    s = c - a - b
+    if np.any((np.abs(s - np.round(s.real)) < 1e-10) & (np.abs(s.imag) < 1e-10)):
+        raise UnsupportedCaseError(
+            f"connection formula degenerate: c-a-b = {s} has an integer entry")
+    f1, m1 = _series_2f1_array(a, b, a + b + 1.0 - c, w, cfg)
+    f2, m2 = _series_2f1_array(c - a, c - b, 1.0 + s, w, cfg)
+    g = np.array([connection_gammas(*p) for p in zip(a, b, c)])
+    e1, e2 = g[:, :1], g[:, 1:] * np.exp(s[:, None] * np.log(w))
+    out = e1 * f1 + e2 * f2
+    return out, _digits_lost(np.abs(e1) * m1 + np.abs(e2) * m2, out)
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, v: float,
@@ -252,40 +318,63 @@ def gauss_2f1(a: complex, b: complex, c: complex, v: float,
     return complex(gauss_2f1_array(a, b, c, np.array([v], dtype=float), cfg)[0])
 
 
-def gauss_2f1_array(a: complex, b: complex, c: complex, v,
-                    cfg: SpecFunConfig = _DEFAULT,
+def gauss_2f1_array(a, b, c, v, cfg: SpecFunConfig = _DEFAULT,
                     one_minus_v=None) -> np.ndarray:
     """Gauss hypergeometric 2F1(a, b; c; v) over an array of v in [0, 1).
 
-    Direct series for v <= v*; for v > v* the two-term connection formula
-    in 1-v, which needs c-a-b not an integer (always true on the principal
-    series, where c-a-b = +-i rho).  Non-positive integer c raises PoleError.
+    a, b and c are scalars or broadcast to P parameter sets; the result has
+    shape (P,) + v.shape (v.shape for scalar parameters).  Direct series
+    for v <= v*; for v > v* the two-term connection formula in 1-v, which
+    needs c-a-b not an integer (always true on the principal series, where
+    c-a-b = +-i rho).  Non-positive integer c in any set raises PoleError.
+
+    Each element carries its digits lost, log10(sum |term| / |value|).  A
+    direct-series element that loses more than 8 digits (large |a b| v,
+    e.g. rho above about 30 on the principal series) is recomputed by the
+    connection formula; an element whose connection value loses more than
+    8 digits raises AccuracyError.
 
     one_minus_v may supply 1 - v to full precision (needed when v is so
     close to 1 that the subtraction underflows, e.g. tanh^2 of a large
     argument paired with sech^2); the connection branch then runs on it.
     """
+    return _gauss_2f1(a, b, c, v, cfg, one_minus_v)[0]
+
+
+def _gauss_2f1(a, b, c, v, cfg: SpecFunConfig = _DEFAULT, one_minus_v=None):
+    """gauss_2f1_array and its digits lost per element."""
+    shape = np.broadcast(a, b, c).shape
+    a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
     v = np.asarray(v, dtype=float)
     w_all = 1.0 - v if one_minus_v is None else np.asarray(one_minus_v, dtype=float)
     if not np.all((v >= 0.0) & (w_all > 0.0)):
         raise ValueError("arguments must lie in [0, 1)")
-    if _is_nonpositive_int(complex(c)):
-        raise PoleError(f"2F1 parameter c = {c} is a non-positive integer")
-    out = np.empty(v.shape, dtype=complex)
+    for cc in c:
+        if _is_nonpositive_int(cc):
+            raise PoleError(f"2F1 parameter c = {cc} is a non-positive integer")
+    vshape = v.shape
+    v, w_all = v.ravel(), np.ravel(w_all)
+    out = np.empty((a.size, v.size), dtype=complex)
+    lost = np.empty(out.shape)
     lo = v <= cfg.connection_switch
     if np.any(lo):
-        out[lo] = _series_2f1_array(a, b, c, v[lo], cfg)
+        f, mass = _series_2f1_array(a, b, c, v[lo], cfg)
+        out[:, lo], lost[:, lo] = f, _digits_lost(mass, f)
     if np.any(~lo):
-        s = c - a - b
-        if abs(s - round(s.real)) < 1e-10 and abs(s.imag) < 1e-10:
-            raise UnsupportedCaseError(
-                f"connection formula degenerate: c-a-b = {s} is an integer")
-        w = w_all[~lo]
-        f1 = _series_2f1_array(a, b, a + b + 1.0 - c, w, cfg)
-        f2 = _series_2f1_array(c - a, c - b, 1.0 + c - a - b, w, cfg)
-        g1, g2 = connection_gammas(a, b, c)
-        out[~lo] = g1 * f1 + g2 * w ** s * f2
-    return out
+        out[:, ~lo], lost[:, ~lo] = _connection_2f1(a, b, c, w_all[~lo], cfg)
+    # direct-series elements over the budget take the connection formula
+    cols = np.flatnonzero(lo)
+    for p in np.flatnonzero(np.any(lost[:, cols] > _DIGIT_BUDGET, axis=1)):
+        bad = cols[lost[p, cols] > _DIGIT_BUDGET]
+        out[p, bad], lost[p, bad] = _connection_2f1(
+            a[p:p + 1], b[p:p + 1], c[p:p + 1], w_all[bad], cfg)
+    if np.any(lost > _DIGIT_BUDGET):
+        p, j = np.unravel_index(np.argmax(lost), lost.shape)
+        raise AccuracyError(
+            f"2F1({a[p]:.6g}, {b[p]:.6g}; {c[p]:.6g}; {v[j]:.6g}) loses "
+            f"{lost[p, j]:.1f} digits to cancellation on the connection branch "
+            f"(budget {_DIGIT_BUDGET:g})")
+    return out.reshape(shape + vshape), lost.reshape(shape + vshape)
 
 
 def gauss_2f1_regularized(a: complex, b: complex, c: complex, v: float,
@@ -301,12 +390,13 @@ def gauss_2f1_regularized(a: complex, b: complex, c: complex, v: float,
     vs = np.array([v], dtype=float)
     c = complex(c)
     if not _is_nonpositive_int(c):
-        return complex(_series_2f1_array(a, b, c, vs, cfg)[0] * np.exp(-ln_gamma(c)))
+        return complex(_series_2f1_array(a, b, c, vs, cfg)[0][0, 0] * np.exp(-ln_gamma(c)))
     m = int(round(1 - c.real))
     lead = 1.0 + 0.0j
     for p in range(m):  # (a)_m (b)_m / m!
         lead *= (a + p) * (b + p) / (p + 1)
-    return complex(lead * v ** m * _series_2f1_array(a + m, b + m, m + 1.0, vs, cfg)[0])
+    return complex(lead * v ** m
+                   * _series_2f1_array(a + m, b + m, m + 1.0, vs, cfg)[0][0, 0])
 
 
 def assoc_legendre_P(degree: float, order: float, u: float,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import specfun
 from .errors import UnsupportedCaseError
-from .planewave import HyperWave, PrincipalMass, _two_branch, radial_profile
+from .planewave import PrincipalMass, _two_branch, radial_table
 from .specfun import HarmonicIndex, harmonic_indices, hypersph_Y
 
 __all__ = [
@@ -127,13 +127,18 @@ def _beta_panels(beta_max: float, n_nodes: int, panel: float = 1.0):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+# rho nodes per radial_table call when a grid fills a mode table: bounds the
+# temporaries of the 2F1 kernel (a whole grid at once raises peak memory)
+_RHO_BLOCK = 8
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Node bundle for the hyperbolic transforms (sphere x beta x rho).
 
     A mode factors as Psi = V_{alpha,top}(beta; rho) Y_idx(Omega), and the
     grid holds the two factors apart: the harmonic table Y, built once, and
-    per rho the radial rows V, one per (alpha, top label).
+    per alpha the radial table V over every (rho node, top label, beta node).
     """
 
     sphere: SphereGrid
@@ -143,9 +148,10 @@ class QuadratureGrid:
     rho_weights: np.ndarray
     l_max: int
     m_max: int | None = None
-    # (rho, alpha) -> radial rows V, shape (n_top, n_beta), filled by
-    # radial_rows
+    # alpha -> radial table V, shape (n_rho, n_top, n_beta), filled by
+    # radial_rows; digits_lost: alpha -> worst 2F1 digits lost in its rows
     mode_tables: dict = field(default_factory=dict, init=False, repr=False)
+    digits_lost: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def build(n: int, beta_max: float = 12.0, n_beta: int = 10,
@@ -173,22 +179,39 @@ class QuadratureGrid:
         tops = sorted({i.top for i in idxs})
         return idxs, Y, np.searchsorted(tops, [i.top for i in idxs])
 
+    def _radial(self, rhos, alpha: int) -> np.ndarray:
+        idxs = self.harmonics[0]
+        V, lost = radial_table(self.sphere.n, alpha, rhos,
+                               sorted({i.top for i in idxs}), self.beta_nodes)
+        self.digits_lost[alpha] = max(lost, self.digits_lost.get(alpha, 0.0))
+        return V
+
+    def mode_table(self, alpha: int) -> np.ndarray:
+        """V_{alpha,top}(beta_nodes; rho_nodes) for each distinct top label
+        in increasing order, shape (n_rho, n_top, n_beta).
+
+        Filled in blocks of _RHO_BLOCK rho nodes on first use and cached in
+        mode_tables for the life of the grid."""
+        table = self.mode_tables.get(alpha)
+        if table is None:
+            r = self.rho_nodes
+            table = np.concatenate([self._radial(r[i:i + _RHO_BLOCK], alpha)
+                                    for i in range(0, r.size, _RHO_BLOCK)])
+            self.mode_tables[alpha] = table
+        return table
+
     def radial_rows(self, rho: float, alpha: int) -> np.ndarray:
         """V_{alpha,top}(beta_nodes; rho) for each distinct top label in
-        increasing order, shape (n_top, n_beta).
+        increasing order, shape (n_top, n_beta): a view into mode_table
+        at a rho node, computed afresh (not cached) at any other rho."""
+        i = self._node_index.get(float(rho))
+        if i is not None:
+            return self.mode_table(alpha)[i]
+        return self._radial([rho], alpha)[0]
 
-        Cached in mode_tables: forward and inverse passes at the same rho
-        nodes reuse the rows, which live as long as the grid.
-        """
-        key = (float(rho), alpha)
-        rows = self.mode_tables.get(key)
-        if rows is None:
-            idxs, _, top_row = self.harmonics
-            first = np.unique(top_row, return_index=True)[1]
-            rows = np.stack([radial_profile(HyperWave(alpha, rho, idxs[i]),
-                                            self.beta_nodes) for i in first])
-            self.mode_tables[key] = rows
-        return rows
+    @cached_property
+    def _node_index(self) -> dict:
+        return {float(r): i for i, r in enumerate(self.rho_nodes)}
 
     def resolution_report(self) -> dict:
         """Recorded resolution limits of the node bundle.
@@ -196,7 +219,9 @@ class QuadratureGrid:
         beta_bandwidth is the largest |rho - rho'| the window can separate
         (pi over the window half-length), rho_bandwidth the largest 'time'
         e^{i rho beta} content the rho spacing resolves, and azimuth_modes
-        the largest |m| integrated exactly.
+        the largest |m| integrated exactly.  radial_digits_lost is the
+        worst 2F1 digits lost over the radial rows built so far (0 before
+        any).
         """
         window = float(self.beta_nodes.max() - self.beta_nodes.min())
         drho = float(np.min(np.diff(np.sort(self.rho_nodes)))) \
@@ -211,6 +236,7 @@ class QuadratureGrid:
             "beta_nodes": int(self.beta_nodes.size),
             "sphere_nodes": int(self.sphere.size),
             "rho_nodes": int(self.rho_nodes.size),
+            "radial_digits_lost": max(self.digits_lost.values(), default=0.0),
         }
 
 
@@ -377,19 +403,20 @@ class HyperCoeffs:
 def wavepacket_hyper(coeffs: HyperCoeffs, beta, phis, phi):
     """Sum chi * Psi over the table at the coefficients' rho; broadcasts.
 
-    Each radial factor is evaluated once per (alpha, top label) and each
-    harmonic once per index, however many modes share them.
+    The radial factors come from one radial_table call per alpha over its
+    top labels, and each harmonic is evaluated once per index, however many
+    modes share them.
     """
+    modes = [(alpha, HarmonicIndex(len(ls) + 2, m, ls), chi)
+             for (alpha, m, ls), chi in coeffs.table.items() if chi != 0.0]
     radial = {}
+    for alpha in {a for a, _, _ in modes}:
+        tops = sorted({i.top for a, i, _ in modes if a == alpha})
+        V = radial_table(modes[0][1].n, alpha, [coeffs.rho], tops, beta)[0][0]
+        radial.update({(alpha, t): row for t, row in zip(tops, V)})
     harmonic = {}
     total = 0.0 + 0.0j
-    for (alpha, m, ls), chi in coeffs.table.items():
-        if chi == 0.0:
-            continue
-        idx = HarmonicIndex(len(ls) + 2, m, ls)
-        if (alpha, idx.top) not in radial:
-            radial[alpha, idx.top] = radial_profile(
-                HyperWave(alpha, coeffs.rho, idx), beta)
+    for alpha, idx, chi in modes:
         if idx not in harmonic:
             harmonic[idx] = hypersph_Y(idx, phis, phi)
         total = total + chi * (radial[alpha, idx.top] * harmonic[idx])
@@ -449,20 +476,24 @@ def fourier_hyper_inverse(coeff_field, grid: QuadratureGrid,
     the literal unweighted integral (composition = multiplication by 2/rho).
     """
     idxs, Y, top_row = grid.harmonics
-    out = np.zeros((grid.beta_nodes.size, grid.sphere.size), dtype=complex)
     tables = (list(coeff_field) if isinstance(coeff_field, (list, tuple))
               else [coeff_field(r) for r in grid.rho_nodes])
-    for rho, w, coeffs in zip(grid.rho_nodes, grid.rho_weights, tables):
-        if coeffs is None or not coeffs.table:
-            continue
-        weight = w * (0.5 * rho if plancherel else 1.0)
-        # (n_beta, n_index): each index's radial rows weighted by chi,
-        # summed over alpha, then one product with the harmonic table
-        M = sum(grid.radial_rows(rho, a)[top_row].T
-                * np.array([coeffs[(a, i.m, i.ls)] for i in idxs])
-                for a in sorted({k[0] for k in coeffs.table}))
-        out += weight * (M @ Y)
-    return out
+    tables = [c if c is not None else HyperCoeffs(rho=float(r))
+              for r, c in zip(grid.rho_nodes, tables)]
+    weight = grid.rho_weights * (0.5 * grid.rho_nodes if plancherel else 1.0)
+    # (n_beta, n_index): per alpha, one product of the radial table, with
+    # (rho node, top label) as the contracted axis, against chi weighted and
+    # spread onto each index's top label; then one product with the
+    # harmonic table
+    nb = grid.beta_nodes.size
+    M = np.zeros((nb, len(idxs)), dtype=complex)
+    for a in sorted({k[0] for c in tables for k in c.table}):
+        T = grid.mode_table(a)
+        chi = np.array([[c[(a, i.m, i.ls)] for i in idxs] for c in tables])
+        on_top = np.arange(T.shape[1])[:, None] == top_row[None, :]
+        X = (weight[:, None] * chi)[:, None, :] * on_top
+        M += T.reshape(-1, nb).T @ X.reshape(-1, len(idxs))
+    return M @ Y
 
 
 # ------------------------------------------------------------ Mellin pair

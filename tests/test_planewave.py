@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dswave import lorentz, planewave
@@ -265,6 +267,23 @@ def test_radial_profile_large_beta_vs_mpmath():
                     ref = _radial_profile_mp(wave, mp.mpf(beta))
                     assert_allclose(complex(radial_profile(wave, beta)), ref,
                                     rtol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 5), l=st.integers(0, 8), alpha=st.sampled_from([1, 2]),
+       rho=st.floats(0.1, 100.0), beta=st.floats(-30.0, 30.0))
+def test_radial_profile_accurate_or_raises(n, l, alpha, rho, beta):
+    # large rho at small beta defeats both 2F1 branches: the profile then
+    # raises AccuracyError instead of returning a wrong value
+    idx = HarmonicIndex(n, l, ()) if n == 2 else HarmonicIndex(n, 0, (l,) * (n - 2))
+    wave = HyperWave(alpha, rho, idx)
+    try:
+        got = complex(radial_profile(wave, beta))
+    except AccuracyError:
+        return
+    with mp.workdps(60):
+        ref = _radial_profile_mp(wave, mp.mpf(beta))
+    assert abs(got - ref) <= 1e-8 * abs(ref)
 
 
 def test_radial_profile_beyond_sech2_range_raises():

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.special import loggamma as scipy_loggamma
 
 from dswave import specfun
-from dswave.errors import PoleError, UnsupportedCaseError
+from dswave.errors import AccuracyError, PoleError, UnsupportedCaseError
+from dswave.planewave import HyperWave, hyper_2f1_params
 from dswave.specfun import (HarmonicIndex, SpecFunConfig, assoc_legendre_P,
                             bessel_j, d_abs, gauss_2f1, gauss_2f1_array,
                             harmonic_indices, hypersph_Y, ln_gamma, norm_K)
@@ -190,6 +191,95 @@ def test_2f1_array_matches_scalar():
 def test_2f1_array_pole_raises(c):
     with pytest.raises(PoleError):
         gauss_2f1_array(0.5, 0.5, c, np.array([0.2, 0.7]))
+
+
+def _principal_params(n, l, rho, alpha):
+    """(a, b, c) of the hyperbolic wave with top label l."""
+    idx = HarmonicIndex(n, l, ()) if n == 2 else HarmonicIndex(n, 0, (l,) * (n - 2))
+    return hyper_2f1_params(HyperWave(alpha, rho, idx))
+
+
+def test_2f1_array_parameter_sets_match_scalar_calls():
+    # P parameter sets against V points, both branches, one call
+    sets = [_principal_params(n, l, rho, alpha)
+            for n, l, rho, alpha in [(2, 0, 0.4, 1), (2, 2, 1.7, 2),
+                                     (3, 1, 3.1, 1), (4, 4, 6.0, 2)]]
+    sets.append((0.3 + 0.2j, -1.1, 0.7))
+    a, b, c = (np.array(x) for x in zip(*sets))
+    vs = np.array([0.0, 0.05, 0.3, 0.5, 0.62, 0.9, 0.999])
+    got = gauss_2f1_array(a, b, c, vs)
+    assert got.shape == (len(sets), vs.size)
+    for p, (ap, bp, cp) in enumerate(sets):
+        for j, v in enumerate(vs):
+            assert_allclose(got[p, j], gauss_2f1(ap, bp, cp, v), rtol=1e-13)
+    # a (2, 3) block of parameter sets keeps its shape ahead of v's
+    grid = gauss_2f1_array(a[:3, None], b[:3, None], c[:3, None] * np.ones(2),
+                           vs.reshape(7, 1))
+    assert grid.shape == (3, 2, 7, 1)
+
+
+def test_2f1_array_one_bad_parameter_set_raises():
+    a = np.array([0.75 - 0.4j, 0.5, 1.25 - 0.1j])
+    b = np.array([-0.25 - 0.4j, 0.5, -0.5 - 0.1j])
+    with pytest.raises(PoleError):
+        gauss_2f1_array(a, b, np.array([0.5, -2.0, 1.5]), np.array([0.2]))
+    # c - a - b = 1 in the middle set: only the connection branch needs it
+    c = np.array([0.5, 2.0, 1.5])
+    gauss_2f1_array(a, b, c, np.array([0.2, 0.4]))
+    with pytest.raises(UnsupportedCaseError):
+        gauss_2f1_array(a, b, c, np.array([0.2, 0.9]))
+
+
+_GUARD_CASES = [(alpha, rho, float(np.tanh(beta) ** 2))
+                for alpha in (1, 2) for rho in (20.0, 40.0, 60.0, 100.0)
+                for beta in (0.6, 0.88, 1.5)] + [(1, 50.0, 0.5), (2, 50.0, 0.5)]
+
+
+@pytest.mark.parametrize("alpha,rho,v", _GUARD_CASES)
+def test_2f1_large_rho_accurate_or_raises(alpha, rho, v):
+    # the direct series loses up to 34 digits here (n = 3, l = 2); each
+    # value is either within 1e-8 of mpmath or an AccuracyError
+    a, b, c = _principal_params(3, 2, rho, alpha)
+    try:
+        got = gauss_2f1(a, b, c, v)
+    except AccuracyError:
+        return
+    with mp.workdps(60):
+        ref = complex(mp.hyp2f1(a, b, c, mp.mpf(v)))
+    assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+def test_2f1_large_rho_guard_reroutes_and_raises():
+    # rho = 40: the direct series loses 13.6 digits at v = 0.5 and the
+    # connection formula about 2; rho = 100 at small v loses too much on
+    # either branch
+    a, b, c = _principal_params(3, 2, 40.0, 1)
+    series, mass = specfun._series_2f1_array(a, b, c, np.array([0.5]),
+                                             SpecFunConfig())
+    assert np.log10(mass / np.abs(series))[0, 0] > 13.0
+    val, lost = specfun._gauss_2f1(a, b, c, np.array([0.5]))
+    assert lost[0] < 3.0
+    assert_allclose(val[0], gauss_2f1(a, b, c, 0.5, SpecFunConfig(connection_switch=0.3)),
+                    rtol=1e-13)
+    a, b, c = _principal_params(3, 2, 100.0, 2)
+    with pytest.raises(AccuracyError, match="digits"):
+        gauss_2f1(a, b, c, 0.3)
+
+
+def test_2f1_criterion5_branches_not_rerouted():
+    # criterion 5 compares the direct series (switch 0.7) against the
+    # connection formula (switch 0.3) at v = 0.5 for rho <= 2: the guard
+    # must leave the direct value as the plain series sum
+    hi = SpecFunConfig(connection_switch=0.7)
+    lo = SpecFunConfig(connection_switch=0.3)
+    for n in (2, 3, 4):
+        for l in (0, 2, 4):
+            for rho in (0.5, 1.0, 2.0):
+                for alpha in (1, 2):
+                    a, b, c = _principal_params(n, l, rho, alpha)
+                    series = specfun._series_2f1_array(a, b, c, np.array([0.5]), hi)
+                    assert gauss_2f1(a, b, c, 0.5, hi) == series[0][0, 0]
+                    assert gauss_2f1(a, b, c, 0.5, lo) != series[0][0, 0]
 
 
 # --------------------------------------------------------------- Legendre

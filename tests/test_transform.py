@@ -411,6 +411,43 @@ def test_hyper_pair_matches_dense_modes(n):
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
+_GRID2 = dict(beta_max=24.0, n_beta=8, n_rho=64, l_max=4, n_polar=24,
+              n_azimuth=28)  # criterion 9's n = 2 grid
+
+
+def _top_index(n, l):
+    return HarmonicIndex(n, l, ()) if n == 2 else HarmonicIndex(n, 0, (l,) * (n - 2))
+
+
+@pytest.mark.parametrize("n,sizes", [(2, _GRID2), (3, _GRID3)])
+def test_mode_tables_match_radial_profile(n, sizes):
+    # the blocked table fill agrees with one radial_profile call per
+    # (rho node, top label), relative to the row's largest value (a row
+    # passes through zeros of V); off-node rows come from the same kernel
+    grid = QuadratureGrid.build(n, rho_window=(0.9, 2.6), **sizes)
+    tops = sorted({i.top for i in grid.harmonics[0]})
+    for alpha in (1, 2):
+        table = grid.mode_table(alpha)
+        assert table.shape == (grid.rho_nodes.size, len(tops),
+                               grid.beta_nodes.size)
+        for r, rows in zip(grid.rho_nodes, table):
+            assert grid.radial_rows(float(r), alpha).base is table
+            for l, row in zip(tops, rows):
+                ref = radial_profile(HyperWave(alpha, float(r), _top_index(n, l)),
+                                     grid.beta_nodes)
+                assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
+        off = 1.234
+        ref = [radial_profile(HyperWave(alpha, off, _top_index(n, l)),
+                              grid.beta_nodes) for l in tops]
+        got = grid.radial_rows(off, alpha)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert sorted(grid.mode_tables) == [1, 2]
+    # digits lost are relative to the value, so nodes next to a zero of V
+    # lose a few; the kernel raises beyond its 8-digit budget
+    lost = grid.resolution_report()["radial_digits_lost"]
+    assert 0.0 < lost <= 8.0
+
+
 def test_hyper_mode_tables_stay_separable():
     # after a forward and an inverse pass the grid's table cache holds
     # less than one (n_beta, n_sphere) complex array per rho node: a
@@ -777,6 +814,8 @@ def test_cone_round_trip_band_limited(method, tol):
 
 def test_quadrature_grid_resolution_report(hyper_grid):
     rep = hyper_grid.resolution_report()
+    assert rep["radial_digits_lost"] == max(hyper_grid.digits_lost.values(),
+                                            default=0.0)
     assert rep["beta_nodes"] == hyper_grid.beta_nodes.size
     assert rep["rho_nodes"] == 64
     assert rep["azimuth_modes"] >= hyper_grid.l_max
