@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import specfun
-from .errors import UnsupportedCaseError
+from .errors import PoleError, UnsupportedCaseError
 from .planewave import PrincipalMass, _two_branch, radial_table
 from .specfun import HarmonicIndex, harmonic_indices, hypersph_Y
 
@@ -601,18 +601,25 @@ class ConeSpectrum:
         return complex(self.values[tauprime][theta_index, rho_index])
 
 
-def _intertwiner_exponent_phase(grid: ConeGrid, rho: float,
-                                forward: bool) -> tuple[complex, complex]:
+def _intertwiner_exponent_phase(grid: ConeGrid, rho,
+                                forward: bool) -> tuple[np.ndarray, np.ndarray]:
     """Exponent E = -(n-1)/2 -+ i rho of the angular kernel |a|^E and the
     Theta phase e^{i pi ((n-1)/2 (+-1) + i rho)} of its a < 0 branch
-    (upper signs forward, lower inverse)."""
-    E = complex(-0.5 * (grid.n - 1), -rho if forward else rho)
-    phase = complex(np.exp(1j * math.pi * (0.5 * (grid.n - 1)
-                                           * (1 if forward else -1) + 1j * rho)))
+    (upper signs forward, lower inverse), as (n_rho, 1) columns for a
+    scalar or 1-D rho."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))[:, None]
+    E = -0.5 * (grid.n - 1) + 1j * (-rho if forward else rho)
+    phase = np.exp(1j * math.pi * (0.5 * (grid.n - 1)
+                                   * (1 if forward else -1) + 1j * rho))
     return E, phase
 
 
-def intertwiner_symbol(grid: ConeGrid, rho: float, forward: bool,
+def _rho_layout(rho, rows: np.ndarray) -> np.ndarray:
+    """(n_rho, m) rows -> (m,) for a scalar rho, (m, n_rho) for a 1-D rho."""
+    return rows[0] if np.ndim(rho) == 0 else rows.T
+
+
+def intertwiner_symbol(grid: ConeGrid, rho, forward: bool,
                        sector: int, j) -> np.ndarray:
     """Exact circle symbol of the angular intertwiner on mode e^{ij theta}.
 
@@ -620,27 +627,34 @@ def intertwiner_symbol(grid: ConeGrid, rho: float, forward: bool,
     (2 cos^2(u/2))^E (sector -1) has Fourier integrals
     [phase (-1)^j or 1] * 2^{-E} 2 pi Gamma(1+2E)/(Gamma(1+E+j)Gamma(1+E-j)),
     the exponent continuation of the classical |1 - e^{iu}|^{2s} expansion.
-    The value depends on |j| only.  One log-Gamma pair gives j = 0, and the
-    ratio lam_{j+1} / lam_j = (E - j) / (1 + E + j) (DLMF 5.5.1) gives every
-    other |j| by one cumulative product.
+    The value depends on |j| only.  One log-Gamma pair per rho gives
+    j = 0, and the ratio lam_{j+1} / lam_j = (E - j) / (1 + E + j)
+    (DLMF 5.5.1) gives every other |j| by one cumulative product along j,
+    for all rho at once.  A scalar rho returns shape (n_j,), a 1-D rho
+    (n_j, n_rho).
     """
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
     lg = specfun.ln_gamma
     aj = np.abs(np.atleast_1d(np.asarray(j, dtype=int)))
     k = np.arange(aj.max(initial=0))
-    lam = np.empty(k.size + 1, dtype=complex)
-    lam[0] = 2.0 ** (-E) * 2.0 * math.pi * np.exp(lg(1 + 2 * E) - 2 * lg(1 + E))
-    lam[1:] = lam[0] * np.cumprod((E - k) / (1 + E + k))
+    lam = np.empty((E.shape[0], k.size + 1), dtype=complex)
+    lg0 = np.array([[lg(1 + 2 * e) - 2 * lg(1 + e)] for e in E[:, 0]])
+    lam[:, :1] = 2.0 ** (-E) * 2.0 * math.pi * np.exp(lg0)
+    lam[:, 1:] = lam[:, :1] * np.cumprod((E - k) / (1 + E + k), axis=1)
+    lam = lam[:, aj]
     if sector == 1:
-        return phase * (-1.0) ** aj * lam[aj]
-    return lam[aj]
+        lam = phase * (-1.0) ** aj * lam
+    return _rho_layout(rho, lam)
 
 
-def _intertwiner_eigs(grid: ConeGrid, rho: float, forward: bool,
+def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
                       sector: int, method: str = "direct") -> np.ndarray:
     """Eigenvalues of the angular intertwiner on the circle, in
     np.fft.fftfreq order: the operator is g -> ifft(eigs * fft(g)).
 
+    rho is a scalar (shape (n_theta,) returned) or a 1-D array of nodes
+    (shape (n_theta, n_rho)): the eigenvalues for all rho nodes of a
+    sector come from one call, with the rho-independent pieces built once.
     sector = t' tau' (+1 or -1) fixes the sign of a = -sector + cos(dtheta).
     On the uniform grid the kernel matrix is circulant,
     [i_out, j_in] = row[(j - i) mod n_theta], so its eigenvalues are
@@ -654,9 +668,11 @@ def _intertwiner_eigs(grid: ConeGrid, rho: float, forward: bool,
     symbol, and needs the 2 fit_cells + 1 fit columns around the pole to
     fit on the circle without wrapping.  Past that guard the fit limits its
     resolution, with no error raised: modes j <= 3 are off the symbol by up
-    to 2.4e-2 at n_theta = 64, 2.2e-3 at 96 and 8.4e-4 at 128, so j = 3 is
-    worse than 2e-3 below n_theta of about 96.
+    to 2.4e-2 at n_theta = 64, 2.2e-3 at 96, 8.4e-4 at 128 and 2.3e-4 at
+    256, so j = 3 is worse than 2e-3 below n_theta of about 96.
     """
+    if method not in ("direct", "spectral"):
+        raise ValueError(f"method must be 'direct' or 'spectral', got {method!r}")
     nt = grid.n_theta
     if method == "spectral":
         freqs = np.fft.fftfreq(nt, d=1.0 / nt).astype(int)
@@ -666,7 +682,11 @@ def _intertwiner_eigs(grid: ConeGrid, rho: float, forward: bool,
             f"method 'direct' needs n_theta >= {2 * grid.fit_cells + 2} "
             f"(2 fit_cells + 1 columns around the pole, even), got {nt}")
     dth = 2.0 * math.pi / nt
+    # E, phase: (n_rho, 1) columns; every row below is (n_rho, n_theta)
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
+    if np.any(2 * E + 1.0 == 0):
+        # the pole-window moment of |u|^{2E} diverges, as Gamma(1+2E) does
+        raise PoleError("method 'direct' is singular at rho = 0 (2E + 1 = 0)")
     offs = np.arange(nt) * dth
     a = -sector + np.cos(offs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -678,7 +698,7 @@ def _intertwiner_eigs(grid: ConeGrid, rho: float, forward: bool,
     w = grid.pole_cells * dth + 0.5 * dth  # window edge between cells
     row = ker * dth
     # zero out the window cells (pole cell and pole_cells neighbours each side)
-    row[(pole_at + np.arange(-grid.pole_cells, grid.pole_cells + 1)) % nt] = 0.0
+    row[:, (pole_at + np.arange(-grid.pole_cells, grid.pole_cells + 1)) % nt] = 0.0
 
     # product integration on the cells flanking the window: |u|^{2E}
     # oscillates in log u too fast there for plain midpoint weights, so the
@@ -692,13 +712,14 @@ def _intertwiner_eigs(grid: ConeGrid, rho: float, forward: bool,
     mom1 = ((hi ** (2 * E + 2.0) - lo ** (2 * E + 2.0)) / (2 * E + 2.0)
             - u_k * mass)
     scale = branch * np.exp(E * np.log(2.0 * np.sin(u_k / 2.0) ** 2 / u_k**2))
-    grads = np.zeros(nt, dtype=complex)
+    grads = np.zeros(row.shape, dtype=complex)
     for sgn in (1, -1):
-        row[(pole_at + sgn * k) % nt] = scale * mass
-        # slope term: d/d(theta) = sgn * d/du on this side of the pole
+        row[:, (pole_at + sgn * k) % nt] = scale * mass
+        # slope term: d/d(theta) = sgn * d/du on this side of the pole; the
+        # indices within one side are distinct, so plain += accumulates
         grad = sgn * scale * mom1 / (2.0 * dth)
-        np.add.at(grads, (pole_at + sgn * k + 1) % nt, grad)
-        np.add.at(grads, (pole_at + sgn * k - 1) % nt, -grad)
+        grads[:, (pole_at + sgn * k + 1) % nt] += grad
+        grads[:, (pole_at + sgn * k - 1) % nt] -= grad
     row = row + grads
 
     # pole-window correction: fit g(u) from the fit_cells nearest columns on
@@ -713,22 +734,19 @@ def _intertwiner_eigs(grid: ConeGrid, rho: float, forward: bool,
     V = np.vander(u_fit / scale, grid.fit_degree + 1, increasing=True)
     P = np.linalg.pinv(V)  # coefficients = P @ g_samples
     # moments integral |u|^{2E} (u/scale)^k over (-w, w): odd k vanish
-    mom = np.zeros(grid.fit_degree + 1, dtype=complex)
-    for k in range(0, grid.fit_degree + 1, 2):
-        mom[k] = 2.0 * w ** (2.0 * E + k + 1.0) / ((2.0 * E + k + 1.0) * scale**k)
+    mom = np.zeros((E.shape[0], grid.fit_degree + 1), dtype=complex)
+    ke = np.arange(0, grid.fit_degree + 1, 2)
+    mom[:, ke] = 2.0 * w ** (2.0 * E + ke + 1.0) / ((2.0 * E + ke + 1.0) * scale**ke)
     # weights applied to the sampled columns; q^E folds into the fit samples
-    row[(pole_at + fit_off) % nt] += branch * (mom @ P) * qE
-    return nt * np.fft.ifft(row)
+    row[:, (pole_at + fit_off) % nt] += branch * (mom @ P) * qE
+    return _rho_layout(rho, nt * np.fft.ifft(row, axis=1))
 
 
 def _sheet_eigs(grid: ConeGrid, rho_nodes: np.ndarray, forward: bool,
                 method: str) -> dict:
     """sector -> intertwiner eigenvalues at every rho node, shape
-    (n_theta, n_rho)."""
-    if method not in ("direct", "spectral"):
-        raise ValueError(f"method must be 'direct' or 'spectral', got {method!r}")
-    return {sec: np.stack([_intertwiner_eigs(grid, rho, forward, sec, method)
-                           for rho in rho_nodes], axis=1)
+    (n_theta, n_rho): one call per sector."""
+    return {sec: _intertwiner_eigs(grid, rho_nodes, forward, sec, method)
             for sec in (1, -1)}
 
 

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.special import roots_legendre
 
 from dswave import specfun, transform
-from dswave.errors import UnsupportedCaseError
+from dswave.errors import PoleError, UnsupportedCaseError
 from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper
 from dswave.planewave import (HyperWave, dalembert_horo_residual,
                               principal_mass, psi_hyper, radial_profile)
@@ -658,6 +658,54 @@ def test_intertwiner_symbol_vs_mpmath(rho):
             jm = np.array([5, -3, 0, 17, -17, 2])
             assert_allclose(intertwiner_symbol(grid, rho, forward, sector, jm),
                             ref[np.abs(jm)], rtol=5e-14)
+
+
+def test_intertwiner_symbol_rho_array_vs_mpmath():
+    # one call over mixed-sign rho nodes: column r is the symbol at rho[r]
+    grid = ConeGrid(n=2, n_theta=64)
+    rho = np.array([0.3, 1.7, 3.5, 20.0, -1.3])
+    js = np.arange(129)
+    jm = np.array([5, -3, 0, 17, -17, 2])
+    for forward in (True, False):
+        for sector in (1, -1):
+            got = intertwiner_symbol(grid, rho, forward, sector, js)
+            assert got.shape == (js.size, rho.size)
+            ref = np.array([[_symbol_mpmath(r, forward, sector, int(j))
+                             for r in rho] for j in js])
+            assert_allclose(got, ref, rtol=5e-14)
+            assert_allclose(intertwiner_symbol(grid, rho, forward, sector, jm),
+                            ref[np.abs(jm)], rtol=5e-14)
+
+
+@pytest.mark.parametrize("method", ["direct", "spectral"])
+@pytest.mark.parametrize("n_theta", [38, 64, 128])
+def test_intertwiner_eigs_rho_array_matches_scalar_calls(n_theta, method):
+    grid = ConeGrid(n=2, n_theta=n_theta)
+    rho = np.array([0.4, -1.1, 2.7, -0.35, 6.0])
+    for sector in (1, -1):
+        for forward in (True, False):
+            batch = _intertwiner_eigs(grid, rho, forward, sector, method)
+            assert batch.shape == (n_theta, rho.size)
+            for r, x in enumerate(rho):
+                one = _intertwiner_eigs(grid, x, forward, sector, method)
+                assert one.shape == (n_theta,)
+                err = np.max(np.abs(batch[:, r] - one))
+                assert err <= 1e-14 * np.max(np.abs(one))
+
+
+def test_intertwiner_eigs_guards_with_rho_array():
+    rho = np.array([0.8, -1.5])
+    with pytest.raises(UnsupportedCaseError, match="n_theta >= 38"):
+        _intertwiner_eigs(ConeGrid(n=2, n_theta=36), rho, True, 1, "direct")
+    grid = ConeGrid(n=2, n_theta=64)
+    for r in (0.8, rho):
+        with pytest.raises(ValueError,
+                           match="method must be 'direct' or 'spectral'"):
+            _intertwiner_eigs(grid, r, True, 1, "spectal")
+    # rho = 0 is the pole of Gamma(1 + 2E): both methods raise
+    for method in ("direct", "spectral"):
+        with pytest.raises(PoleError):
+            _intertwiner_eigs(grid, np.array([0.8, 0.0]), True, -1, method)
 
 
 def _dense_circulant(eigs):
