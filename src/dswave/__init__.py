@@ -15,7 +15,7 @@ from .geometry import (HoroChart, HyperChart, SpacetimeConfig,
 from .planewave import (AmbientWave, HyperWave, PrincipalMass,
                         principal_mass, principal_mass_from_rho, psi_ambient,
                         psi_hyper)
-from .specfun import HarmonicIndex, SpecFunConfig, d_abs, hypersph_Y, norm_K
+from .specfun import HarmonicIndex, d_abs, hypersph_Y, norm_K
 from .transform import (AbsoluteProfile, HyperCoeffs, QuadratureGrid,
                         WavepacketSpec, wavepacket_ambient, wavepacket_hyper)
 
@@ -40,7 +40,6 @@ __all__ = [
     "psi_ambient",
     "psi_hyper",
     "HarmonicIndex",
-    "SpecFunConfig",
     "hypersph_Y",
     "norm_K",
     "d_abs",

@@ -208,17 +208,13 @@ def off_shell_damping(n: int, mu: float, xi_spatial, y, R_values,
     The node count grows with R to resolve the O(R) phase sweep across
     the window.
     """
-    from scipy.special import roots_legendre
-
     xi_sp = np.asarray(xi_spatial, dtype=float)  # length n-1
     y = np.asarray(y, dtype=float)
     lo, hi = mu * window[0], mu * window[1]
     out = []
     for R in R_values:
         nodes = max(n_nodes, int(0.8 * float(R) * math.log(hi / lo)) + 32)
-        x_nodes, w_nodes = roots_legendre(nodes)
-        nus = 0.5 * (hi - lo) * x_nodes + 0.5 * (hi + lo)
-        ws = 0.5 * (hi - lo) * w_nodes
+        nus, ws = specfun.gauss_panels((lo, hi), nodes)
         t = (2.0 * (nus - lo) / (hi - lo)) - 1.0
         bump = np.exp(1.0 - 1.0 / (1.0 - t**2))
         cfg = SpacetimeConfig(n=n, R=float(R))
@@ -373,12 +369,10 @@ def spectral_smearing_contrast(n: int = 2, rho_center: float = 2.5,
     envelope-normalized modulus |f| e^{(n-1)beta/2}: constant for the
     sharp packet, decaying ever faster with the smearing width.
     """
-    from scipy.special import roots_legendre
-
     from .planewave import radial_table
 
     betas = np.linspace(beta_span[0], beta_span[1], n_beta)
-    nodes, wts = roots_legendre(48)
+    nodes, wts = specfun.gauss_rule(48)
     bump = np.exp(1.0 - 1.0 / (1.0 - nodes**2))
     out = {}
     edges = np.linspace(beta_span[0], beta_span[1], 4)
@@ -540,12 +534,9 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
     lower = specfun.gamma_lower_scaled(w[:, None], x[None, :])
     val += np.sum((a_p * 2.0 ** (-base) * y_split ** w)[:, None] * lower, axis=0)
     # Gauss panels on [y_split, Y0]
-    edges = np.linspace(y_split, y0, math.ceil((y0 - y_split) / panel) + 1)
-    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
-    half = 0.5 * np.diff(edges)[:, None]
-    yy = (half * xg + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
-    g = ((half * wg).ravel() * yy ** (1j * rho) * specfun.bessel_j(eta, yy)
-         * specfun.bessel_j(nu, yy))
+    yy, wy = specfun.gauss_panels(
+        np.linspace(y_split, y0, math.ceil((y0 - y_split) / panel) + 1), n_nodes)
+    g = wy * yy ** (1j * rho) * specfun.bessel_j(eta, yy) * specfun.bessel_j(nu, yy)
     val += np.sum(np.exp(-eps_vec[:, None] * yy) * g, axis=1)
     return complex(val[0]) if eps_arr.ndim == 0 else val
 

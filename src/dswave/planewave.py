@@ -29,7 +29,7 @@ import numpy as np
 from . import specfun
 from .errors import AccuracyError, ComplementarySeriesError, OnSingularSurfaceError
 from .geometry import HyperChart, SpacetimeConfig, minkowski_dot
-from .specfun import HarmonicIndex, SpecFunConfig
+from .specfun import HarmonicIndex
 
 __all__ = [
     "PrincipalMass",
@@ -166,7 +166,7 @@ _SECH2_MIN = 2.0 ** -1042
 
 
 def radial_table(n: int, alpha: int, rhos, tops, beta,
-                 mirror_params: bool = False, cfg: SpecFunConfig | None = None):
+                 mirror_params: bool = False):
     """Radial factors V_{alpha,l}(beta; rho), K-normalization included, for
     every rho in rhos and top label l in tops, from one 2F1 call over the
     (rho, l) parameter sets.
@@ -194,8 +194,7 @@ def radial_table(n: int, alpha: int, rhos, tops, beta,
     K = np.array([[specfun.norm_K(alpha, n, int(l), float(r)) for l in tops[0]]
                   for r in rhos[:, 0]])
     f, lost = specfun._gauss_2f1(*_params_2f1(n, alpha, rhos, tops, mirror_params),
-                                 np.tanh(ab) ** 2, cfg or SpecFunConfig(),
-                                 one_minus_v=w)
+                                 np.tanh(ab) ** 2, one_minus_v=w)
     env = np.exp((-0.5 * (n - 1) + 1j * rhos[:, :, None]) * log_cosh)
     V = np.take(f * env, back.ravel(), axis=2)
     if alpha == 1:
@@ -205,23 +204,22 @@ def radial_table(n: int, alpha: int, rhos, tops, beta,
             float(lost.max(initial=0.0)))
 
 
-def radial_profile(wave: HyperWave, beta, mirror_params: bool = False,
-                   cfg: SpecFunConfig | None = None):
+def radial_profile(wave: HyperWave, beta, mirror_params: bool = False):
     """Radial factor V(beta), including the K-normalization prefactor: the
     one-point call of radial_table.  Its 2F1 factor loses at most 8 digits
     to cancellation (the budget of specfun.gauss_2f1_array, which raises
     AccuracyError beyond, from rho of about 100 at small beta); AccuracyError also
     where sech^2(beta) < _SECH2_MIN (|beta| > 361.8)."""
     V, _ = radial_table(wave.n, wave.alpha, [wave.rho], [wave.idx.top], beta,
-                        mirror_params, cfg)
+                        mirror_params)
     return V[0, 0][()]
 
 
-def psi_hyper(wave: HyperWave, chart: HyperChart, mirror_params: bool = False,
-              cfg: SpecFunConfig | None = None) -> complex:
+def psi_hyper(wave: HyperWave, chart: HyperChart,
+              mirror_params: bool = False) -> complex:
     """Hyperbolic plane wave at a chart point."""
     Y = specfun.hypersph_Y(wave.idx, chart.phis, chart.phi)
-    return complex(radial_profile(wave, chart.beta, mirror_params, cfg) * Y)
+    return complex(radial_profile(wave, chart.beta, mirror_params) * Y)
 
 
 def connection_constants(wave: HyperWave) -> tuple[complex, complex]:

@@ -1,7 +1,7 @@
 """Special-function kernel: complex log-Gamma, Gauss 2F1, Legendre/Gegenbauer
-functions, hyperspherical harmonics, Bessel J, and the normalization
-constants of the hyperbolic plane waves and of the cone intertwiner, and
-the incomplete Gamma functions.
+functions, hyperspherical harmonics, Bessel J, the normalization
+constants of the hyperbolic plane waves and of the cone intertwiner, the
+incomplete Gamma functions, and the Gauss rules of every quadrature.
 
 2F1 lives in one kernel: gauss_2f1_array (gauss_2f1 is its one-point call)
 sums the one power series, _series_2f1_array, below a switch point v* and
@@ -16,6 +16,11 @@ recomputed by the connection formula, and a connection value over it
 raises AccuracyError (DLMF 15.2, 15.8).  The principal-series parameters
 always have non-integer c-a-b, which keeps the connection formula
 non-degenerate.
+
+Every Gauss rule is gauss_rule, the symmetric Gauss-Jacobi rule for
+(1 - x^2)^a by Newton on the Gegenbauer recurrence of gegenbauer_C (DLMF
+18.9.1, 3.5(v)), or gauss_panels, its Legendre rule on each of a row of
+intervals.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import numpy as np
 from .errors import AccuracyError, PoleError, UnsupportedCaseError
 
 __all__ = [
-    "SpecFunConfig",
     "HarmonicIndex",
     "ln_gamma",
     "abs_gamma_sq",
@@ -40,6 +44,8 @@ __all__ = [
     "connection_gammas",
     "assoc_legendre_P",
     "gegenbauer_C",
+    "gauss_rule",
+    "gauss_panels",
     "hypersph_Y",
     "harmonic_indices",
     "sphere_laplacian_eigenvalue",
@@ -48,28 +54,6 @@ __all__ = [
     "d_abs",
 ]
 
-
-@dataclass(frozen=True)
-class SpecFunConfig:
-    """Tolerances for the series kernels.
-
-    series_tol is the relative tail target of power series, max_terms the
-    hard term cap, connection_switch the argument v* at which 2F1 changes
-    from the direct series to the 1-v connection formula.
-    """
-
-    series_tol: float = 1e-15
-    max_terms: int = 40000
-    connection_switch: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.series_tol < 1e-6):
-            raise ValueError("series_tol must lie in (0, 1e-6)")
-        if not (0.3 <= self.connection_switch <= 0.7):
-            raise ValueError("connection_switch must lie in [0.3, 0.7]")
-
-
-_DEFAULT = SpecFunConfig()
 
 # Lanczos coefficients, g = 607/128, 15 terms (double-precision standard set)
 _LANCZOS_G = 607.0 / 128.0
@@ -234,13 +218,18 @@ def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
 # terms per block of the 2F1 series: one (P x 16) @ (16 x V) product adds a
 # block to every (parameter set, point) sum
 _SERIES_BLOCK = 16
+# relative size of the last term at which a series stops, and its term cap
+_SERIES_TOL = 1e-15
+_MAX_TERMS = 40000
+# argument v* above which 2F1 takes the 1-v connection formula
+_CONNECTION_SWITCH = 0.5
 # most decimal digits an element may lose to cancellation: a direct-series
 # element over it is recomputed by the connection formula, and a connection
 # element over it raises AccuracyError
 _DIGIT_BUDGET = 8.0
 
 
-def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig):
+def _series_2f1_array(a, b, c, v: np.ndarray):
     """sum_k (a)_k (b)_k / ((c)_k k!) v^k for P parameter sets (a, b, c
     broadcast to shape (P,)) against V points v >= 0.
 
@@ -249,7 +238,7 @@ def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig):
     the coefficients c_k from a cumprod of the term ratio and the powers
     v^k as columns, so the block is one complex and one real matrix
     product.  A set leaves the loop once the last term of every point is
-    within series_tol of its sum (checked at block ends), so its values
+    within _SERIES_TOL of its sum (checked at block ends), so its values
     do not depend on the other sets of the call.
     """
     a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
@@ -261,7 +250,7 @@ def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig):
     vk = np.ones(v.size)                        # v^k at the block start
     steps = np.arange(_SERIES_BLOCK)
     vpow = v[None, :] ** (steps[:, None] + 1.0)  # v^1 .. v^16
-    for k0 in range(0, cfg.max_terms, _SERIES_BLOCK):
+    for k0 in range(0, _MAX_TERMS, _SERIES_BLOCK):
         k = k0 + steps
         ratio = ((a[live, None] + k) * (b[live, None] + k)
                  / ((c[live, None] + k) * (k + 1.0)))
@@ -271,12 +260,12 @@ def _series_2f1_array(a, b, c, v: np.ndarray, cfg: SpecFunConfig):
         mass[live] += np.abs(cs) @ pw
         coef, vk = cs[:, -1], pw[-1]
         last = np.abs(coef)[:, None] * vk
-        fin = np.all(last <= cfg.series_tol
+        fin = np.all(last <= _SERIES_TOL
                      * np.maximum(np.abs(acc[live]), 1e-300), axis=1)
         if np.all(fin):
             return acc, mass
         live, coef = live[~fin], coef[~fin]
-    raise AccuracyError(f"2F1 series did not converge in {cfg.max_terms} terms")
+    raise AccuracyError(f"2F1 series did not converge in {_MAX_TERMS} terms")
 
 
 def _digits_lost(mass, value):
@@ -295,7 +284,7 @@ def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, comp
     return complex(g1), complex(g2)
 
 
-def _connection_2f1(a, b, c, w, cfg: SpecFunConfig):
+def _connection_2f1(a, b, c, w):
     """2F1 by the 1-v connection formula for parameter sets (P,) against
     points w = 1 - v (V,): values and digits lost, each (P, V).  The loss
     counts both series and the cancellation between the two terms."""
@@ -303,28 +292,26 @@ def _connection_2f1(a, b, c, w, cfg: SpecFunConfig):
     if np.any((np.abs(s - np.round(s.real)) < 1e-10) & (np.abs(s.imag) < 1e-10)):
         raise UnsupportedCaseError(
             f"connection formula degenerate: c-a-b = {s} has an integer entry")
-    f1, m1 = _series_2f1_array(a, b, a + b + 1.0 - c, w, cfg)
-    f2, m2 = _series_2f1_array(c - a, c - b, 1.0 + s, w, cfg)
+    f1, m1 = _series_2f1_array(a, b, a + b + 1.0 - c, w)
+    f2, m2 = _series_2f1_array(c - a, c - b, 1.0 + s, w)
     g = np.array([connection_gammas(*p) for p in zip(a, b, c)])
     e1, e2 = g[:, :1], g[:, 1:] * np.exp(s[:, None] * np.log(w))
     out = e1 * f1 + e2 * f2
     return out, _digits_lost(np.abs(e1) * m1 + np.abs(e2) * m2, out)
 
 
-def gauss_2f1(a: complex, b: complex, c: complex, v: float,
-              cfg: SpecFunConfig = _DEFAULT) -> complex:
+def gauss_2f1(a: complex, b: complex, c: complex, v: float) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; v) at one v in [0, 1): a one-point
     call of gauss_2f1_array, which owns the evaluation and its errors."""
-    return complex(gauss_2f1_array(a, b, c, np.array([v], dtype=float), cfg)[0])
+    return complex(gauss_2f1_array(a, b, c, np.array([v], dtype=float))[0])
 
 
-def gauss_2f1_array(a, b, c, v, cfg: SpecFunConfig = _DEFAULT,
-                    one_minus_v=None) -> np.ndarray:
+def gauss_2f1_array(a, b, c, v, one_minus_v=None) -> np.ndarray:
     """Gauss hypergeometric 2F1(a, b; c; v) over an array of v in [0, 1).
 
     a, b and c are scalars or broadcast to P parameter sets; the result has
     shape (P,) + v.shape (v.shape for scalar parameters).  Direct series
-    for v <= v*; for v > v* the two-term connection formula in 1-v, which
+    for v <= v* = 0.5; for v > v* the two-term connection formula in 1-v, which
     needs c-a-b not an integer (always true on the principal series, where
     c-a-b = +-i rho).  Non-positive integer c in any set raises PoleError.
 
@@ -338,10 +325,10 @@ def gauss_2f1_array(a, b, c, v, cfg: SpecFunConfig = _DEFAULT,
     close to 1 that the subtraction underflows, e.g. tanh^2 of a large
     argument paired with sech^2); the connection branch then runs on it.
     """
-    return _gauss_2f1(a, b, c, v, cfg, one_minus_v)[0]
+    return _gauss_2f1(a, b, c, v, one_minus_v)[0]
 
 
-def _gauss_2f1(a, b, c, v, cfg: SpecFunConfig = _DEFAULT, one_minus_v=None):
+def _gauss_2f1(a, b, c, v, one_minus_v=None):
     """gauss_2f1_array and its digits lost per element."""
     shape = np.broadcast(a, b, c).shape
     a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
@@ -356,18 +343,18 @@ def _gauss_2f1(a, b, c, v, cfg: SpecFunConfig = _DEFAULT, one_minus_v=None):
     v, w_all = v.ravel(), np.ravel(w_all)
     out = np.empty((a.size, v.size), dtype=complex)
     lost = np.empty(out.shape)
-    lo = v <= cfg.connection_switch
+    lo = v <= _CONNECTION_SWITCH
     if np.any(lo):
-        f, mass = _series_2f1_array(a, b, c, v[lo], cfg)
+        f, mass = _series_2f1_array(a, b, c, v[lo])
         out[:, lo], lost[:, lo] = f, _digits_lost(mass, f)
     if np.any(~lo):
-        out[:, ~lo], lost[:, ~lo] = _connection_2f1(a, b, c, w_all[~lo], cfg)
+        out[:, ~lo], lost[:, ~lo] = _connection_2f1(a, b, c, w_all[~lo])
     # direct-series elements over the budget take the connection formula
     cols = np.flatnonzero(lo)
     for p in np.flatnonzero(np.any(lost[:, cols] > _DIGIT_BUDGET, axis=1)):
         bad = cols[lost[p, cols] > _DIGIT_BUDGET]
         out[p, bad], lost[p, bad] = _connection_2f1(
-            a[p:p + 1], b[p:p + 1], c[p:p + 1], w_all[bad], cfg)
+            a[p:p + 1], b[p:p + 1], c[p:p + 1], w_all[bad])
     if np.any(lost > _DIGIT_BUDGET):
         p, j = np.unravel_index(np.argmax(lost), lost.shape)
         raise AccuracyError(
@@ -377,8 +364,7 @@ def _gauss_2f1(a, b, c, v, cfg: SpecFunConfig = _DEFAULT, one_minus_v=None):
     return out.reshape(shape + vshape), lost.reshape(shape + vshape)
 
 
-def gauss_2f1_regularized(a: complex, b: complex, c: complex, v: float,
-                          cfg: SpecFunConfig = _DEFAULT) -> complex:
+def gauss_2f1_regularized(a: complex, b: complex, c: complex, v: float) -> complex:
     """Regularized series 2F1(a,b;c;v)/Gamma(c), entire in c.
 
     Direct series only, so integer c-a-b is allowed; at c = 1 - m it is
@@ -390,17 +376,16 @@ def gauss_2f1_regularized(a: complex, b: complex, c: complex, v: float,
     vs = np.array([v], dtype=float)
     c = complex(c)
     if not _is_nonpositive_int(c):
-        return complex(_series_2f1_array(a, b, c, vs, cfg)[0][0, 0] * np.exp(-ln_gamma(c)))
+        return complex(_series_2f1_array(a, b, c, vs)[0][0, 0] * np.exp(-ln_gamma(c)))
     m = int(round(1 - c.real))
     lead = 1.0 + 0.0j
     for p in range(m):  # (a)_m (b)_m / m!
         lead *= (a + p) * (b + p) / (p + 1)
     return complex(lead * v ** m
-                   * _series_2f1_array(a + m, b + m, m + 1.0, vs, cfg)[0][0, 0])
+                   * _series_2f1_array(a + m, b + m, m + 1.0, vs)[0][0, 0])
 
 
-def assoc_legendre_P(degree: float, order: float, u: float,
-                     cfg: SpecFunConfig = _DEFAULT) -> float:
+def assoc_legendre_P(degree: float, order: float, u: float) -> float:
     """Ferrers associated Legendre function P^order_degree(u) on (-1, 1).
 
     Uses the hypergeometric representation
@@ -411,7 +396,7 @@ def assoc_legendre_P(degree: float, order: float, u: float,
         raise ValueError(f"argument must lie in (-1, 1), got {u}")
     pref = ((1.0 + u) / (1.0 - u)) ** (order / 2.0)
     val = gauss_2f1_regularized(-degree, degree + 1.0, 1.0 - order,
-                                (1.0 - u) / 2.0, cfg)
+                                (1.0 - u) / 2.0)
     return float((pref * val).real)
 
 
@@ -419,14 +404,74 @@ def gegenbauer_C(lam: float, k: int, x):
     """Gegenbauer polynomial C^(lam)_k(x) by the three-term recurrence."""
     if k < 0:
         raise ValueError("polynomial degree must be non-negative")
+    return _gegenbauer_pair(lam, k, x)[0]
+
+
+def _gegenbauer_pair(lam: float, k: int, x):
+    """(C^(lam)_k(x), C^(lam)_{k-1}(x)) by the three-term recurrence
+    (DLMF 18.9.1), started from C_{-1} = 0 and C_0 = 1."""
     x = np.asarray(x, dtype=float)
-    c_prev = np.ones_like(x)
-    if k == 0:
-        return c_prev
-    c = 2.0 * lam * x
-    for m in range(1, k):
+    c, c_prev = np.ones_like(x), np.zeros_like(x)
+    for m in range(k):
         c, c_prev = (2.0 * (m + lam) * x * c - (m + 2.0 * lam - 1.0) * c_prev) / (m + 1.0), c
-    return c
+    return c, c_prev
+
+
+# recurrence passes gauss_rule may take, and the largest Newton step after
+# which the nodes count as converged: the steps shrink quadratically
+_GAUSS_MAX_STEPS = 20
+_GAUSS_STEP_TOL = 1e-13
+
+
+def gauss_rule(n: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1 - x^2)^a on [-1, 1], a >= 0
+    (Gauss-Legendre at a = 0): ascending nodes and their weights.
+
+    The nodes, the zeros of C^(lam)_n with lam = a + 1/2, come from Newton
+    on the recurrence, started at cos(pi (k - (1 - lam)/2) / (n + lam))
+    (exact at lam = 0 and 1), for x >= 0 only and mirrored.  The weights
+    are proportional to (1 - x^2) / ((1 - x^2) C_n')^2 and sum to
+    sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2).  For n <= 128 and a <= 2 the
+    nodes are exact to rounding and the weights to 3e-13 relative (against
+    mpmath).  n < 1 or a < 0 raises ValueError; AccuracyError where Newton
+    misses the ceil(n/2) distinct zeros in [0, 1), as at a = 4.5, n >= 17.
+    """
+    if n < 1 or a < 0:
+        raise ValueError(f"a Gauss rule needs n >= 1 and a >= 0, got n={n}, a={a}")
+    lam, odd = a + 0.5, n % 2
+    # descending nodes x >= 0; the middle node of an odd rule is 0
+    x = np.cos(math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.5 * (1.0 - lam)) / (n + lam))
+    if odd:
+        x[-1] = 0.0
+    step = np.inf
+    for _ in range(_GAUSS_MAX_STEPS):
+        c, c_prev = _gegenbauer_pair(lam, n, x)
+        slope = (n + 2.0 * lam - 1.0) * c_prev - n * x * c  # (1 - x^2) C_n'
+        if np.abs(step).max() <= _GAUSS_STEP_TOL:
+            break  # slope is that of the converged nodes
+        step = c * ((1.0 - x) * (1.0 + x)) / slope
+        x = x - step
+    else:
+        raise AccuracyError(f"Gauss rule n={n}, a={a}: Newton did not "
+                            f"converge in {_GAUSS_MAX_STEPS} passes")
+    if not (x[0] < 1.0 and np.all(np.diff(x) < 0.0) and x[-1] >= 0.0):
+        raise AccuracyError(f"Gauss rule n={n}, a={a}: Newton did not find "
+                            f"{x.size} distinct zeros in [0, 1)")
+    w = (1.0 - x) * (1.0 + x) / (slope * slope)
+    w *= (math.sqrt(math.pi) * math.exp(math.lgamma(a + 1.0) - math.lgamma(a + 1.5))
+          / (2.0 * w.sum() - odd * w[-1]))
+    return (np.concatenate((-x, x[-1 - odd::-1])),
+            np.concatenate((w, w[-1 - odd::-1])))
+
+
+def gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on each interval (lo, hi) between
+    consecutive edges: nodes and weights, interval after interval."""
+    x, w = gauss_rule(n)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (half * x + mid).ravel(), (half * w).ravel()
 
 
 @dataclass(frozen=True)

@@ -76,24 +76,15 @@ class SphereGrid:
 
     @staticmethod
     def build(n: int, n_polar: int = 24, n_azimuth: int = 48) -> "SphereGrid":
-        from scipy.special import roots_jacobi
-
-        grids = []
-        weights = []
-        for k in range(1, n - 1):  # polar angle phi_k, density sin^{n-1-k}
-            a = 0.5 * (n - 2 - k)  # (1 - x^2)^a after x = cos(phi_k)
-            x, w = roots_jacobi(n_polar, a, a)
-            grids.append(np.arccos(x))
-            weights.append(w)
+        # polar angle phi_k, k = 1..n-2, has the density sin^{n-1-k}, that
+        # is (1 - x^2)^a with a = (n-2-k)/2 after x = cos(phi_k)
+        rules = [specfun.gauss_rule(n_polar, 0.5 * (n - 2 - k)) for k in range(1, n - 1)]
         az = np.arange(n_azimuth) * (2.0 * math.pi / n_azimuth)
         az_w = np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
-        mesh = np.meshgrid(*grids, az, indexing="ij")
-        wmesh = np.meshgrid(*weights, az_w, indexing="ij")
-        total_w = np.ones_like(mesh[0])
-        for wm in wmesh:
-            total_w = total_w * wm
+        mesh = np.meshgrid(*(np.arccos(x) for x, _ in rules), az, indexing="ij")
+        wmesh = np.meshgrid(*(w for _, w in rules), az_w, indexing="ij")
         phis = tuple(m.ravel() for m in mesh[:-1])
-        return SphereGrid(n, phis, mesh[-1].ravel(), total_w.ravel())
+        return SphereGrid(n, phis, mesh[-1].ravel(), np.prod(wmesh, axis=0).ravel())
 
     @property
     def size(self) -> int:
@@ -111,20 +102,6 @@ class SphereGrid:
         out[:, 1] = run * np.cos(self.phi)
         out[:, 0] = run * np.sin(self.phi)
         return out
-
-
-def _beta_panels(beta_max: float, n_nodes: int, panel: float = 1.0):
-    """Gauss-Legendre panels covering [-beta_max, beta_max]."""
-    from scipy.special import roots_legendre
-
-    edges = np.linspace(-beta_max, beta_max, max(2, int(2 * beta_max / panel) + 1))
-    x, w = roots_legendre(n_nodes)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-        weights.append(0.5 * (hi - lo) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 # rho nodes per radial_table call when a grid fills a mode table: bounds the
@@ -158,13 +135,11 @@ class QuadratureGrid:
               rho_window: tuple[float, float] = (0.25, 4.0), n_rho: int = 48,
               l_max: int = 4, m_max: int | None = None,
               n_polar: int = 24, n_azimuth: int = 48) -> "QuadratureGrid":
-        from scipy.special import roots_legendre
-
-        bn, bw = _beta_panels(beta_max, n_beta)
-        x, w = roots_legendre(n_rho)
-        lo, hi = rho_window
-        rn = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        rw = 0.5 * (hi - lo) * w
+        # Gauss-Legendre panels of unit length (at least one) over the
+        # beta window, one Gauss-Legendre rule over the rho window
+        edges = np.linspace(-beta_max, beta_max, max(2, int(2 * beta_max) + 1))
+        bn, bw = specfun.gauss_panels(edges, n_beta)
+        rn, rw = specfun.gauss_panels(rho_window, n_rho)
         return QuadratureGrid(SphereGrid.build(n, n_polar, n_azimuth),
                               bn, bw, rn, rw, l_max, m_max)
 
@@ -308,32 +283,23 @@ class WavepacketSpec:
 
     def cap_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(covectors xi = (1, u) on the cap, weights incl. the cone 1/2)."""
-        from scipy.special import roots_legendre
-
         n = self.mass.cfg.n
         u0 = np.asarray(self.profile.center, dtype=float)
-        x, w = roots_legendre(self.n_theta)
-        theta = 0.5 * self.profile.delta * (x + 1.0)
-        wt = 0.5 * self.profile.delta * w
-        if n == 2:
+        if n == 2:  # one panel on each side of the centre angle
             ang0 = math.atan2(u0[0], u0[1])  # chart convention u = (sin, cos)
-            ths = np.concatenate([ang0 - theta[::-1], ang0 + theta])
-            ws = np.concatenate([wt[::-1], wt])
-            us = np.stack([np.sin(ths), np.cos(ths)], axis=1)
-            xi = np.concatenate([np.ones((us.shape[0], 1)), us], axis=1)
+            ths, ws = specfun.gauss_panels(
+                ang0 + self.profile.delta * np.array([-1.0, 0.0, 1.0]), self.n_theta)
+            xi = np.stack([np.ones_like(ths), np.sin(ths), np.cos(ths)], axis=1)
             return xi, 0.5 * ws
+        theta, wt = specfun.gauss_panels((0.0, self.profile.delta), self.n_theta)
         sub = SphereGrid.build(n - 1, self.n_sub_polar, self.n_sub_azimuth)
         omega = sub.points()                      # (ns, n-1)
         frame = _orthonormal_frame(u0)            # rows: u0, e_1..e_{n-1}
-        ct = np.cos(theta)
-        st = np.sin(theta)
-        u = (ct[:, None, None] * u0[None, None, :]
-             + st[:, None, None] * (omega @ frame[1:])[None, :, :])
+        u = (np.cos(theta)[:, None, None] * u0[None, None, :]
+             + np.sin(theta)[:, None, None] * (omega @ frame[1:])[None, :, :]).reshape(-1, n)
         wfull = (wt * np.sin(theta) ** (n - 2))[:, None] * sub.weights[None, :]
-        u = u.reshape(-1, n)
-        wfull = wfull.reshape(-1)
         xi = np.concatenate([np.ones((u.shape[0], 1)), u], axis=1)
-        return xi, 0.5 * wfull
+        return xi, 0.5 * wfull.ravel()
 
 
 @dataclass

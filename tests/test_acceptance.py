@@ -28,7 +28,7 @@ from dswave import criteria, limits, lorentz, specfun, transform
 from dswave.geometry import (HyperChart, SpacetimeConfig, from_hyper,
                              minkowski_dot)
 from dswave.planewave import HyperWave, principal_mass
-from dswave.specfun import HarmonicIndex, SpecFunConfig, harmonic_indices
+from dswave.specfun import HarmonicIndex, harmonic_indices
 from dswave.transform import AbsoluteProfile, WavepacketSpec, wavepacket_ambient
 
 
@@ -92,10 +92,10 @@ def test_criterion_4_wave_equation_suite():
 
 def test_criterion_5_special_functions():
     ok = True
-    # 2F1 branch agreement at the switch point over a principal-series grid
+    # 2F1 branch agreement at the switch point over a principal-series grid:
+    # the direct series against the connection formula in w = 1 - v = 0.5
     worst_branch = 0.0
-    hi = SpecFunConfig(connection_switch=0.7)
-    lo = SpecFunConfig(connection_switch=0.3)
+    half = np.array([0.5])
     for n in (2, 3, 4):
         for l in (0, 2, 4):
             for rho in (0.5, 1.0, 2.0):
@@ -104,9 +104,10 @@ def test_criterion_5_special_functions():
                         n, l if n == 2 else 0,
                         tuple([l] * (n - 2)) if n > 2 else ()))
                     from dswave.planewave import hyper_2f1_params
-                    a, b, c = hyper_2f1_params(w)
-                    f1 = specfun.gauss_2f1(a, b, c, 0.5, hi)
-                    f2 = specfun.gauss_2f1(a, b, c, 0.5, lo)
+                    a, b, c = (np.array([p], dtype=complex)
+                               for p in hyper_2f1_params(w))
+                    f1 = specfun._series_2f1_array(a, b, c, half)[0][0, 0]
+                    f2 = specfun._connection_2f1(a, b, c, half)[0][0, 0]
                     worst_branch = max(worst_branch, abs(f1 - f2) / abs(f1))
     ok &= worst_branch <= 1e-10
     # harmonic orthonormality, n in {2,3,4}, l <= 4

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -21,21 +22,64 @@ def run_cli(args, env_extra=None):
     return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
 
 
-def test_import_does_not_load_scipy():
-    # scipy loads on first use of a Gauss rule or a Bessel function, not at
-    # import: every subcommand pays the import
+def _src_env():
     import dswave
 
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(dswave.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_does_not_load_scipy():
+    # scipy loads only on first use of a Bessel function of integer order
+    # or of the matrix exponential, not at import
     code = ("import sys, dswave, dswave.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, env=env)
+                       text=True, env=_src_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# every subcommand and suite except appendix-d and verify appendix (Bessel
+# J of integer order) and verify algebra (matrix exponential), with the
+# environment overrides of each run; wavepacket n = 5 builds a Gauss-Jacobi
+# rule with a = 1/2 on its sub-sphere
+_NO_SCIPY_RUNS = [
+    (["planewave"], {}),
+    (["planewave"], {"DSWAVE_MODE": "ambient"}),
+    (["wavepacket"], {}),
+    (["wavepacket"], {"DSWAVE_N": "5", "DSWAVE_MU": "3"}),
+    (["contract"], {}),
+    (["verify", "transform"], {}),
+    (["verify", "decay"], {}),
+    (["verify", "ode"], {}),
+    (["verify", "contract"], {}),
+]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # with scipy unimportable, every run must still exit 0
+    code = f"""
+import json, os, sys
+sys.modules["scipy"] = None
+from dswave.cli import main
+codes = []
+for argv, env in {_NO_SCIPY_RUNS!r}:
+    os.environ.update(env)
+    codes.append(main(["--out", sys.argv[1]] + argv))
+    for key in env:
+        del os.environ[key]
+print(json.dumps(codes))
+"""
+    env = {k: v for k, v in _src_env().items() if not k.startswith("DSWAVE_")}
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    codes = json.loads(r.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(_NO_SCIPY_RUNS), (codes, r.stderr)
 
 
 def test_no_command_usage_error():

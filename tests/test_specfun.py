@@ -4,13 +4,15 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import loggamma as scipy_loggamma
 
 from dswave import specfun
 from dswave.errors import AccuracyError, PoleError, UnsupportedCaseError
 from dswave.planewave import HyperWave, hyper_2f1_params
-from dswave.specfun import (HarmonicIndex, SpecFunConfig, assoc_legendre_P,
+from dswave.specfun import (HarmonicIndex, assoc_legendre_P,
                             bessel_j, d_abs, gauss_2f1, gauss_2f1_array,
                             harmonic_indices, hypersph_Y, ln_gamma, norm_K)
 
@@ -138,10 +140,16 @@ def test_2f1_at_zero_and_closed_form():
     assert_allclose(gauss_2f1(1.0, 1.0, 2.0, v), -np.log(1 - v) / v, rtol=1e-12)
 
 
+def _branches(a, b, c, v):
+    """2F1(a, b; c; v) by the direct series and by the connection formula
+    in 1 - v, each forced whatever v is."""
+    p = [np.array([x], dtype=complex) for x in (a, b, c)]
+    series = specfun._series_2f1_array(*p, np.array([v]))[0][0, 0]
+    return series, specfun._connection_2f1(*p, np.array([1.0 - v]))[0][0, 0]
+
+
 def test_2f1_branch_agreement_principal_series():
     rng = np.random.default_rng(5)
-    hi = SpecFunConfig(connection_switch=0.7)
-    lo = SpecFunConfig(connection_switch=0.3)
     for _ in range(25):
         rho = rng.uniform(0.3, 3.0)
         l = int(rng.integers(0, 5))
@@ -150,8 +158,7 @@ def test_2f1_branch_agreement_principal_series():
         b = complex(-l - 0.5 * (n - 3), -rho) / 2
         for c in (0.5, 1.5):
             v = 0.5
-            f_series = gauss_2f1(a, b, c, v, hi)
-            f_conn = gauss_2f1(a, b, c, v, lo)
+            f_series, f_conn = _branches(a, b, c, v)
             assert abs(f_series - f_conn) / abs(f_series) < 1e-10
 
 
@@ -254,32 +261,28 @@ def test_2f1_large_rho_guard_reroutes_and_raises():
     # connection formula about 2; rho = 100 at small v loses too much on
     # either branch
     a, b, c = _principal_params(3, 2, 40.0, 1)
-    series, mass = specfun._series_2f1_array(a, b, c, np.array([0.5]),
-                                             SpecFunConfig())
+    series, mass = specfun._series_2f1_array(a, b, c, np.array([0.5]))
     assert np.log10(mass / np.abs(series))[0, 0] > 13.0
     val, lost = specfun._gauss_2f1(a, b, c, np.array([0.5]))
     assert lost[0] < 3.0
-    assert_allclose(val[0], gauss_2f1(a, b, c, 0.5, SpecFunConfig(connection_switch=0.3)),
-                    rtol=1e-13)
+    assert_allclose(val[0], _branches(a, b, c, 0.5)[1], rtol=1e-13)
     a, b, c = _principal_params(3, 2, 100.0, 2)
     with pytest.raises(AccuracyError, match="digits"):
         gauss_2f1(a, b, c, 0.3)
 
 
 def test_2f1_criterion5_branches_not_rerouted():
-    # criterion 5 compares the direct series (switch 0.7) against the
-    # connection formula (switch 0.3) at v = 0.5 for rho <= 2: the guard
-    # must leave the direct value as the plain series sum
-    hi = SpecFunConfig(connection_switch=0.7)
-    lo = SpecFunConfig(connection_switch=0.3)
+    # criterion 5 compares the direct series against the connection formula
+    # at v = 0.5 for rho <= 2: v = 0.5 lies on the direct branch, and the
+    # guard must leave the direct value as the plain series sum
     for n in (2, 3, 4):
         for l in (0, 2, 4):
             for rho in (0.5, 1.0, 2.0):
                 for alpha in (1, 2):
                     a, b, c = _principal_params(n, l, rho, alpha)
-                    series = specfun._series_2f1_array(a, b, c, np.array([0.5]), hi)
-                    assert gauss_2f1(a, b, c, 0.5, hi) == series[0][0, 0]
-                    assert gauss_2f1(a, b, c, 0.5, lo) != series[0][0, 0]
+                    series, conn = _branches(a, b, c, 0.5)
+                    assert gauss_2f1(a, b, c, 0.5) == series
+                    assert conn != series
 
 
 # --------------------------------------------------------------- Legendre
@@ -327,6 +330,73 @@ def test_assoc_legendre_recurrence():
 def test_assoc_legendre_domain():
     with pytest.raises(ValueError):
         assoc_legendre_P(1.0, 0.5, 1.0)
+
+
+# ------------------------------------------------------------ Gauss rules
+
+
+def _gauss_rule_mp(n, a, x0):
+    """Nodes and weights at the nodes x0 >= 0 of the n-point rule for
+    (1 - x^2)^a, to 40 digits: one Newton step on mpmath's Gegenbauer
+    polynomial from x0, then the Christoffel weights scaled to the total
+    integral of the weight."""
+    with mp.workdps(40):
+        lam = mp.mpf(a) + mp.mpf(1) / 2
+        xs, ws = [], []
+        for x in x0:
+            t = mp.mpf(float(x))
+            if t != 0:  # the middle node of an odd rule is exactly 0
+                t -= (mp.gegenbauer(n, lam, t, zeroprec=1000)
+                      / (2 * lam * mp.gegenbauer(n - 1, lam + 1, t)))
+            slope = 2 * lam * mp.gegenbauer(n - 1, lam + 1, t)
+            xs.append(t)
+            ws.append(1 / ((1 - t * t) * slope * slope))
+        total = mp.sqrt(mp.pi) * mp.gamma(a + 1) / mp.gamma(a + mp.mpf(3) / 2)
+        mass = 2 * mp.fsum(ws) - mp.fsum(w for t, w in zip(xs, ws) if t == 0)
+        return (np.array([float(t) for t in xs]),
+                np.array([float(w * total / mass) for w in ws]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 25, 48, 128])
+def test_gauss_rule_vs_mpmath(n):
+    for a in (0.0, 0.5, 1.0, 1.5, 2.0):
+        x, w = specfun.gauss_rule(n, a)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        half = x >= 0
+        x_ref, w_ref = _gauss_rule_mp(n, a, x[half])
+        assert np.max(np.abs(x[half] - x_ref)) <= 4e-16
+        assert np.max(np.abs(w[half] / w_ref - 1.0)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 64), a=st.floats(0.0, 2.5))
+def test_gauss_rule_even_moments(n, a):
+    # sum w x^{2k} = int_{-1}^{1} x^{2k} (1 - x^2)^a dx = B(k + 1/2, a + 1),
+    # exact up to degree 2n - 1
+    x, w = specfun.gauss_rule(n, a)
+    for k in range(n):
+        ref = float(mp.beta(k + 0.5, a + 1.0))
+        assert abs(np.sum(w * x ** (2 * k)) / ref - 1.0) <= 1e-13
+
+
+def test_gauss_rule_guards():
+    for n, a in ((0, 0.0), (-3, 1.0), (4, -0.5)):
+        with pytest.raises(ValueError):
+            specfun.gauss_rule(n, a)
+    # far from the tested range Newton lands on repeated zeros
+    with pytest.raises(AccuracyError):
+        specfun.gauss_rule(16, 5.0)
+
+
+def test_gauss_panels_exact_per_interval():
+    edges = [0.0, 1.0, 2.5, 3.0]
+    y, wy = specfun.gauss_panels(edges, 3)
+    assert y.shape == wy.shape == (9,)
+    assert np.all(np.diff(y) > 0)
+    assert_allclose(np.sum(wy * y ** 5), 3.0 ** 6 / 6.0, rtol=1e-14)
+    assert_allclose(wy[3:6].sum(), 1.5, rtol=1e-15)
 
 
 # -------------------------------------------------------------- harmonics
