@@ -5,11 +5,16 @@ space with metric diag[-1, 1, ..., 1].  Two charts are provided: the
 horospheric chart (tau, y, eps) covering everything except x_0 + x_n = 0,
 and the global hyperbolic chart (beta, phi_1..phi_{n-2}, phi).  The absolute
 is the set of null covectors xi with xi_0 > 0, normalized here to xi_0 = 1.
+
+central_differences is the one finite-difference stencil of the package:
+the cone-measure oracle here, the wave-equation residuals of planewave and
+the Casimir check of limits all take their derivatives from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -29,6 +34,7 @@ __all__ = [
     "absolute_covector",
     "cone_measure_weight",
     "cone_measure_weight_fd",
+    "central_differences",
 ]
 
 
@@ -144,23 +150,27 @@ def to_horo(cfg: SpacetimeConfig, x) -> HoroChart:
     return HoroChart(tau=float(tau), y=tuple(y), eps=eps)
 
 
-def sphere_point(n: int, phis, phi: float) -> np.ndarray:
+def sphere_point(n: int, phis, phi) -> np.ndarray:
     """Unit vector on S^{n-1} for polar angles phis (n-2 of them) and azimuth phi.
 
     Ordering matches the hyperbolic chart: u_n = cos(phi_1),
     u_{n-1} = sin(phi_1) cos(phi_2), ..., u_2 = sin(phi_1)..sin(phi_{n-2}) cos(phi),
-    u_1 = sin(phi_1)..sin(phi_{n-2}) sin(phi).
+    u_1 = sin(phi_1)..sin(phi_{n-2}) sin(phi).  Broadcasts over arrays of
+    angles: the result has shape broadcast(phis..., phi).shape + (n,).
     """
     phis = tuple(phis)
     if len(phis) != n - 2:
         raise ValueError(f"expected {n - 2} polar angles, got {len(phis)}")
-    u = np.empty(n)
+    cols = []  # u_n, u_{n-1}, ..., u_1
     run = 1.0
-    for k, a in enumerate(phis):
-        u[n - 1 - k] = run * np.cos(a)
-        run *= np.sin(a)
-    u[1] = run * np.cos(phi)
-    u[0] = run * np.sin(phi)
+    for a in phis:
+        cols.append(run * np.cos(a))
+        run = run * np.sin(a)
+    cols += [run * np.cos(phi), run * np.sin(phi)]
+    # the last column carries the broadcast shape of every angle
+    u = np.empty(cols[-1].shape + (n,))
+    for k, c in enumerate(cols):
+        u[..., n - 1 - k] = c
     return u
 
 
@@ -213,19 +223,9 @@ def cone_measure_weight_fd(cfg: SpacetimeConfig, phis, phi: float = 0.0,
     """
     n = cfg.n
     angles = np.asarray(tuple(phis) + (phi,), dtype=float)
-
-    def spatial(a):
-        return sphere_point(n, a[:-1], a[-1])
-
-    # columns of the (n x (n-1)) Jacobian d(xi_1..xi_n)/d(angles)
-    jac = np.empty((n, n - 1))
-    for k in range(n - 1):
-        ap = angles.copy()
-        am = angles.copy()
-        ap[k] += h
-        am[k] -= h
-        jac[:, k] = (spatial(ap) - spatial(am)) / (2 * h)
-    xi = spatial(angles)
+    # xi_1..xi_n and their (n x (n-1)) Jacobian d(xi_1..xi_n)/d(angles)
+    xi, jac, _ = central_differences(lambda a: sphere_point(n, a[:-1], a[-1]),
+                                     angles, h)
     total = 0.0
     for j in range(n):
         rows = [r for r in range(n) if r != j]
@@ -234,3 +234,42 @@ def cone_measure_weight_fd(cfg: SpacetimeConfig, phis, phi: float = 0.0,
     # absolute value: the density of a measure, independent of the angle
     # ordering's orientation
     return 0.5 * abs(total)
+
+
+def central_differences(F, q, h: float, richardson: bool = False,
+                        mixed: bool = False):
+    """(F(q), gradient, Hessian) of F at the coordinate vector q by central
+    differences of step h: the one stencil of every residual check.
+
+    The gradient is (F(q + h e_i) - F(q - h e_i))/2h and the Hessian
+    diagonal (F(q + h e_i) - 2 F(q) + F(q - h e_i))/h^2.  With mixed=True
+    the off-diagonal entries use the four-point cross stencil
+    (F(q + h e_i + h e_j) - F(q + h e_i - h e_j) - F(q - h e_i + h e_j)
+    + F(q - h e_i - h e_j))/4h^2; otherwise they are 0.  richardson=True
+    returns (4 D(h/2) - D(h))/3 for every entry D.  For array-valued F each
+    derivative adds a trailing coordinate axis: the gradient has shape
+    F(q).shape + (d,) and the Hessian F(q).shape + (d, d).
+    """
+    q = np.asarray(q, dtype=float)
+    eye = np.eye(q.size)
+    f0 = np.asarray(F(q))
+
+    def stencils(s):
+        plus = [np.asarray(F(q + s * e)) for e in eye]
+        minus = [np.asarray(F(q - s * e)) for e in eye]
+        grad = np.stack([(p - m) / (2 * s) for p, m in zip(plus, minus)], axis=-1)
+        hess = np.zeros(grad.shape + (q.size,), dtype=grad.dtype)
+        for i in range(q.size):
+            hess[..., i, i] = (plus[i] - 2 * f0 + minus[i]) / s**2
+        if mixed:
+            for i, j in combinations(range(q.size), 2):
+                pp, pm = s * (eye[i] + eye[j]), s * (eye[i] - eye[j])
+                hess[..., i, j] = hess[..., j, i] = (
+                    F(q + pp) - F(q + pm) - F(q - pm) + F(q - pp)) / (2 * s) ** 2
+        return grad, hess
+
+    grad, hess = stencils(h)
+    if richardson:
+        fine_grad, fine_hess = stencils(h / 2)
+        grad, hess = (4 * fine_grad - grad) / 3, (4 * fine_hess - hess) / 3
+    return f0, grad, hess

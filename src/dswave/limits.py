@@ -16,7 +16,8 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, OnSingularSurfaceError, PoleError
-from .geometry import HoroChart, SpacetimeConfig, from_horo, minkowski_dot
+from .geometry import (HoroChart, SpacetimeConfig, central_differences, from_horo,
+                       minkowski_dot)
 from .planewave import AmbientWave, principal_mass, psi_ambient
 
 __all__ = [
@@ -165,9 +166,14 @@ def decay_fit(s_values, f_values, n_windows: int = 4,
 # ---------------------------------------------------------------- flat limit
 
 
-def _on_shell_wave(n: int, R: float, mu: float, xi) -> AmbientWave:
-    cfg = SpacetimeConfig(n=n, R=R)
-    return AmbientWave(tuple(np.asarray(xi, dtype=float)), principal_mass(cfg, mu))
+def _horo_point(n: int, R: float, y) -> np.ndarray:
+    """Ambient point at horospheric coordinates y = (tau, y_vec), eps = +1."""
+    return from_horo(SpacetimeConfig(n=n, R=R), HoroChart(y[0], tuple(y[1:]), 1))
+
+
+def _ambient_wave(n: int, R: float, mu: float, xi) -> AmbientWave:
+    mass = principal_mass(SpacetimeConfig(n=n, R=R), mu)
+    return AmbientWave(tuple(np.asarray(xi, dtype=float)), mass)
 
 
 def flat_limit_deviation(n: int, mu: float, xi, y, R_values) -> dict:
@@ -182,13 +188,11 @@ def flat_limit_deviation(n: int, mu: float, xi, y, R_values) -> dict:
     if abs(xi[-1] - mu) > 1e-12 * max(mu, 1.0):
         raise ValueError("flat_limit_deviation expects the on-shell slice xi_n = mu")
     xibar = minkowski_covector(xi, mu=mu)
-    target = np.exp(1j * (-y[0] * xibar[0] + y[1:] @ xibar[1:]))
+    target = np.exp(1j * minkowski_pair(y, xibar))
     devs = []
     for R in R_values:
-        cfg = SpacetimeConfig(n=n, R=float(R))
-        x = from_horo(cfg, HoroChart(tau=float(y[0]), y=tuple(y[1:]), eps=1))
-        wave = _on_shell_wave(n, float(R), mu, xi)
-        devs.append(abs(psi_ambient(wave, x) - target))
+        wave = _ambient_wave(n, float(R), mu, xi)
+        devs.append(abs(psi_ambient(wave, _horo_point(n, float(R), y)) - target))
     devs = np.asarray(devs)
     R_arr = np.asarray(list(R_values), dtype=float)
     good = devs > 1e-14
@@ -217,9 +221,8 @@ def off_shell_damping(n: int, mu: float, xi_spatial, y, R_values,
         nus, ws = specfun.gauss_panels((lo, hi), nodes)
         t = (2.0 * (nus - lo) / (hi - lo)) - 1.0
         bump = np.exp(1.0 - 1.0 / (1.0 - t**2))
-        cfg = SpacetimeConfig(n=n, R=float(R))
-        x = from_horo(cfg, HoroChart(tau=float(y[0]), y=tuple(y[1:]), eps=1))
-        mass = principal_mass(cfg, mu)
+        x = _horo_point(n, float(R), y)
+        mass = principal_mass(SpacetimeConfig(n=n, R=float(R)), mu)
         acc = 0.0 + 0.0j
         for nu, w, b in zip(nus, ws, bump):
             xi = np.concatenate(([math.hypot(*xi_sp, nu)], xi_sp, [nu]))
@@ -227,18 +230,6 @@ def off_shell_damping(n: int, mu: float, xi_spatial, y, R_values,
         out.append(abs(acc) / float(ws @ bump))
     return {"R": np.asarray(list(R_values), dtype=float),
             "averaged": np.asarray(out)}
-
-
-def _horo_wave_value(n: int, R: float, mu: float, xi):
-    cfg = SpacetimeConfig(n=n, R=R)
-    mass = principal_mass(cfg, mu)
-    wave = AmbientWave(tuple(xi), mass)
-
-    def F(tau, yvec):
-        x = from_horo(cfg, HoroChart(tau=float(tau), y=tuple(yvec), eps=1))
-        return psi_ambient(wave, x)
-
-    return F
 
 
 def casimir_action_limit(n: int, mu: float, xi, y, R_values, h_values=(2e-3, 1e-3),
@@ -256,60 +247,23 @@ def casimir_action_limit(n: int, mu: float, xi, y, R_values, h_values=(2e-3, 1e-
     """
     xi = np.asarray(xi, dtype=float)
     y = np.asarray(y, dtype=float)
-    tau, yvec = float(y[0]), y[1:]
     rows = []
     for R in R_values:
-        F = _horo_wave_value(n, float(R), mu, xi)
+        R = float(R)
+        wave = _ambient_wave(n, R, mu, xi)
+        v = np.concatenate(([1.0], y[1:] / R))  # a' = a/R = i v.grad
         for h in h_values:
-            val = F(tau, yvec)
-
-            def d_tau(k=1):
-                if k == 1:
-                    return (F(tau + h, yvec) - F(tau - h, yvec)) / (2 * h)
-                return (F(tau + h, yvec) - 2 * val + F(tau - h, yvec)) / h**2
-
-            def d_y(i, k=1):
-                yp, ym = yvec.copy(), yvec.copy()
-                yp[i] += h
-                ym[i] -= h
-                if k == 1:
-                    return (F(tau, yp) - F(tau, ym)) / (2 * h)
-                return (F(tau, yp) - 2 * val + F(tau, ym)) / h**2
-
-            def d_tau_y(i):
-                yp, ym = yvec.copy(), yvec.copy()
-                yp[i] += h
-                ym[i] -= h
-                return (F(tau + h, yp) - F(tau + h, ym)
-                        - F(tau - h, yp) + F(tau - h, ym)) / (4 * h**2)
-
-            # n'_i n'_i = -d_{y_i}^2 ; a'^2 = -(d_tau + (y/R).d_y)^2
-            r_n = 0.0
-            nsum = 0.0 + 0.0j
-            for i in range(n - 1):
-                v = -d_y(i, 2)
-                nsum += v
-                r_n = max(r_n, abs(v - xi[1 + i] ** 2 * val) / abs(val))
-            w = yvec / float(R)
-            a2 = d_tau(2)
-            for i in range(n - 1):
-                a2 += 2 * w[i] * d_tau_y(i)
-                a2 += (w[i] / float(R)) * d_y(i, 1)
-                for j in range(n - 1):
-                    if i == j:
-                        a2 += w[i] * w[j] * d_y(i, 2)
-                    else:
-                        yp = yvec.copy(); yp[i] += h; yp[j] += h
-                        ym = yvec.copy(); ym[i] -= h; ym[j] -= h
-                        ya = yvec.copy(); ya[i] += h; ya[j] -= h
-                        yb = yvec.copy(); yb[i] -= h; yb[j] += h
-                        a2 += w[i] * w[j] * (F(tau, yp) + F(tau, ym)
-                                             - F(tau, ya) - F(tau, yb)) / (4 * h**2)
-            a2 = -a2
+            # full Hessian in q = (tau, y_vec)
+            val, g, H = central_differences(
+                lambda q: psi_ambient(wave, _horo_point(n, R, q)), y, h, mixed=True)
+            # n'_i n'_i = -d_{y_i}^2 ; a'^2 = -(v.grad)^2 = -(v H v + (v_y/R).grad_y)
+            nn = -np.diagonal(H)[1:]
+            r_n = np.max(np.abs(nn - xi[1:-1] ** 2 * val)) / abs(val)
+            a2 = -(v @ H @ v + (v[1:] / R) @ g[1:])
             r_a = abs(a2 - xi[0] ** 2 * val) / abs(val)
-            row = {"R": float(R), "h": float(h), "r_n": float(r_n), "r_a": float(r_a)}
+            row = {"R": R, "h": float(h), "r_n": float(r_n), "r_a": float(r_a)}
             if combined and abs(xi[-1] - mu) < 1e-12 * max(mu, 1.0):
-                row["r_c"] = float(abs((nsum - a2) + mu**2 * val) / abs(val))
+                row["r_c"] = float(abs((nn.sum() - a2) + mu**2 * val) / abs(val))
             rows.append(row)
 
     def fit(key):
@@ -331,13 +285,12 @@ def gamma_phase_split(n: int, mu: float, xi, y, R: float) -> tuple[float, float]
     """
     xi = np.asarray(xi, dtype=float)
     y = np.asarray(y, dtype=float)
-    cfg = SpacetimeConfig(n=n, R=float(R))
-    x = from_horo(cfg, HoroChart(tau=float(y[0]), y=tuple(y[1:]), eps=1))
+    x = _horo_point(n, float(R), y)
     s = abs(x[0]) + float(np.linalg.norm(x[1:]))
     dot = minkowski_dot(x, xi)
     phi = math.log(abs(dot / (mu * R))) / s
     xibar = minkowski_covector(xi)
-    ydot = float(-y[0] * xibar[0] + y[1:] @ xibar[1:])
+    ydot = minkowski_pair(y, xibar)
     gamma = mu * R * math.log1p(ydot / (mu * R)) / s
     return mu * R * phi - gamma, gamma
 

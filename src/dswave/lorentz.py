@@ -261,15 +261,6 @@ def _poincare_basis(n: int) -> list[np.ndarray]:
     T_a = -E_{n,a}, the sign calibrated so that [K_i, T_0] = T_i mirrors the
     contracted pairing of boosts with horospheric directions.
     """
-    e = np.eye(n)
-    e[0, 0] = -1.0
-
-    def lor(a, b):
-        m = np.zeros((n + 1, n + 1))
-        m[a, b] = e[a, a]
-        m[b, a] = -e[b, b]
-        return m
-
     def trans(a):
         m = np.zeros((n + 1, n + 1))
         m[n, a] = -1.0
@@ -278,9 +269,9 @@ def _poincare_basis(n: int) -> list[np.ndarray]:
     mats: list[np.ndarray] = []
     for i in range(1, n):
         for j in range(i + 1, n):
-            mats.append(lor(i, j))
+            mats.append(_M(n, i, j))
     for i in range(1, n):
-        mats.append(lor(i, 0))
+        mats.append(_M(n, i, 0))
     mats.append(trans(0))
     for i in range(1, n):
         mats.append(trans(i))

@@ -1,5 +1,6 @@
 """Principal-series plane waves in ambient and hyperbolic form, with the
-finite-difference verification engines for the wave equation.
+finite-difference verification engines for the wave equation (their
+derivatives come from geometry.central_differences).
 
 The ambient wave is the boundary-value combination
 Theta(x.xi) |x.xi/(mu R)|^sigma + e^{-pi(i(n-1)/2 + mu')} Theta(-x.xi)
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import specfun
 from .errors import AccuracyError, ComplementarySeriesError, OnSingularSurfaceError
-from .geometry import HyperChart, SpacetimeConfig, minkowski_dot
+from .geometry import (HyperChart, SpacetimeConfig, central_differences,
+                       minkowski_dot)
 from .specfun import HarmonicIndex
 
 __all__ = [
@@ -261,22 +263,6 @@ def parity(wave: HyperWave) -> str:
     return "even" if (wave.alpha + wave.idx.top) % 2 == 0 else "odd"
 
 
-def _d2(f, t, h, richardson):
-    if richardson:
-        c = (f(t + h) - 2 * f(t) + f(t - h)) / h**2
-        fine = (f(t + h / 2) - 2 * f(t) + f(t - h / 2)) / (h / 2) ** 2
-        return (4 * fine - c) / 3
-    return (f(t + h) - 2 * f(t) + f(t - h)) / h**2
-
-
-def _d1(f, t, h, richardson):
-    if richardson:
-        c = (f(t + h) - f(t - h)) / (2 * h)
-        fine = (f(t + h / 2) - f(t - h / 2)) / h
-        return (4 * fine - c) / 3
-    return (f(t + h) - f(t - h)) / (2 * h)
-
-
 def radial_ode_residual(wave: HyperWave, beta_grid, h: float = 1e-3,
                         richardson: bool = False, ell: str = "top",
                         mirror_params: bool = False) -> float:
@@ -285,52 +271,20 @@ def radial_ode_residual(wave: HyperWave, beta_grid, h: float = 1e-3,
     The equation tested is
     V'' + (n-1) tanh(b) V' + [rho^2 + (n-1)^2/4 + L/cosh^2(b)] V = 0
     with L = l(l + n - 2); ell = "top" uses the highest chain label (the
-    value the waves satisfy), ell = "l1" the lowest one.
+    value the waves satisfy), ell = "l1" the lowest one.  The derivatives
+    shift the whole grid at once: one radial_profile call per stencil point.
     """
     n, rho = wave.n, wave.rho
     chain = (abs(wave.idx.m),) + wave.idx.ls
     l = wave.idx.top if ell == "top" else (chain[1] if len(chain) > 1 else chain[0])
     L = l * (l + n - 2)
-
-    def V(b):
-        return radial_profile(wave, b, mirror_params=mirror_params)
-
     grid = np.atleast_1d(np.asarray(beta_grid, dtype=float))
-    vmax = float(np.max(np.abs(V(grid))))
-    worst = 0.0
-    for b in grid:
-        r = (_d2(V, b, h, richardson)
-             + (n - 1) * np.tanh(b) * _d1(V, b, h, richardson)
-             + (rho**2 + 0.25 * (n - 1) ** 2 + L / np.cosh(b) ** 2) * V(b))
-        worst = max(worst, abs(complex(r)))
-    return worst / vmax
-
-
-def _sphere_laplacian_fd(F, phis, phi, n, h, richardson):
-    """Recursive-form Laplacian of F(phis, phi) on S^{n-1} by differences."""
-    phis = list(phis)
-    acc = 0.0 + 0.0j
-    sin_prod = 1.0
-    for k in range(n - 2):  # polar angle phi_{k+1}; weight (sin)^{n-2-k}
-        p = n - 2 - k
-
-        def along(t, k=k):
-            a = phis.copy()
-            a[k] = t
-            return F(a, phi)
-
-        t0 = phis[k]
-        d1 = _d1(along, t0, h, richardson)
-        d2 = _d2(along, t0, h, richardson)
-        term = d2 + p * (np.cos(t0) / np.sin(t0)) * d1
-        acc += term / sin_prod**2
-        sin_prod *= np.sin(t0)
-
-    def along_phi(t):
-        return F(phis, t)
-
-    acc += _d2(along_phi, phi, h, richardson) / sin_prod**2
-    return acc
+    V, dV, d2V = central_differences(
+        lambda q: radial_profile(wave, grid + q[0], mirror_params=mirror_params),
+        [0.0], h, richardson)
+    r = (d2V[:, 0, 0] + (n - 1) * np.tanh(grid) * dV[:, 0]
+         + (rho**2 + 0.25 * (n - 1) ** 2 + L / np.cosh(grid) ** 2) * V)
+    return float(np.max(np.abs(r)) / np.max(np.abs(V)))
 
 
 def dalembert_residual(wave: HyperWave, chart: HyperChart, h: float = 1e-3,
@@ -338,28 +292,29 @@ def dalembert_residual(wave: HyperWave, chart: HyperChart, h: float = 1e-3,
     """Relative residual of (box - mu^2) psi at a hyperbolic chart point.
 
     box = -d^2/db^2 - (n-1) tanh(b) d/db + Delta/cosh^2(b) in unit-radius
-    coordinates, with mu^2 = rho^2 + (n-1)^2/4.  Angular coordinate
-    singularities (sin(phi_k) = 0) raise.
+    coordinates, with mu^2 = rho^2 + (n-1)^2/4, and the sphere Laplacian in
+    its recursive form: sum_k (d_k^2 + (n-1-k) cot(phi_k) d_k) / prod_{i<k}
+    sin^2(phi_i), the azimuth term over the full product.  Angular
+    coordinate singularities (sin(phi_k) = 0) raise.
     """
     n, rho = wave.n, wave.rho
     for p in chart.phis:
         if abs(np.sin(p)) < 1e-8:
             raise ValueError("chart point on an angular coordinate singularity")
     mu2 = rho**2 + 0.25 * (n - 1) ** 2
-
-    def F(phis, phi):
-        return psi_hyper(wave, HyperChart(chart.beta, tuple(phis), phi))
-
-    def along_beta(b):
-        return psi_hyper(wave, HyperChart(b, chart.phis, chart.phi))
-
+    # q = (beta, phi_1..phi_{n-2}, phi)
+    val, g, H = central_differences(
+        lambda q: psi_hyper(wave, HyperChart(q[0], tuple(q[1:-1]), q[-1])),
+        (chart.beta,) + tuple(chart.phis) + (chart.phi,), h, richardson)
+    lap = 0.0 + 0.0j
+    sin_prod = 1.0
+    for k, t in enumerate(chart.phis, start=1):
+        lap += (H[k, k] + (n - 1 - k) * (np.cos(t) / np.sin(t)) * g[k]) / sin_prod**2
+        sin_prod *= np.sin(t)
+    lap += H[-1, -1] / sin_prod**2
     b = chart.beta
-    lap = _sphere_laplacian_fd(F, chart.phis, chart.phi, n, h, richardson)
-    box = (-_d2(along_beta, b, h, richardson)
-           - (n - 1) * np.tanh(b) * _d1(along_beta, b, h, richardson)
-           + lap / np.cosh(b) ** 2)
-    val = psi_hyper(wave, chart)
-    return abs(box - mu2 * val) / abs(val)
+    box = -H[0, 0] - (n - 1) * np.tanh(b) * g[0] + lap / np.cosh(b) ** 2
+    return float(abs(box - mu2 * val) / abs(val))
 
 
 def dalembert_horo_residual(cfg: SpacetimeConfig, F, tau: float, y,
@@ -372,23 +327,13 @@ def dalembert_horo_residual(cfg: SpacetimeConfig, F, tau: float, y,
     F is a callable F(tau, y) -> complex; used for ambient plane waves and
     synthesized wavepacket fields alike.
     """
-    y = np.asarray(y, dtype=float)
     R = cfg.R
-
-    def along_tau(t):
-        return F(t, y)
-
-    box = (-_d2(along_tau, tau, h, richardson)
-           + ((cfg.n - 1) / R) * _d1(along_tau, tau, h, richardson))
-    for i in range(cfg.n - 1):
-        def along_y(t, i=i):
-            yy = y.copy()
-            yy[i] = t
-            return F(tau, yy)
-
-        box += np.exp(2 * tau / R) * _d2(along_y, y[i], h, richardson)
-    val = F(tau, y)
-    return abs(box - mu**2 * val) / abs(val)
+    # q = (tau, y_1..y_{n-1})
+    val, g, H = central_differences(lambda q: F(q[0], q[1:]),
+                                    np.concatenate(([tau], y)), h, richardson)
+    box = (-H[0, 0] + ((cfg.n - 1) / R) * g[0]
+           + np.exp(2 * tau / R) * np.trace(H[1:, 1:]))
+    return float(abs(box - mu**2 * val) / abs(val))
 
 
 def ode_variant_report(n: int = 4, rho: float = 0.8,

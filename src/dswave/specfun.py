@@ -306,7 +306,7 @@ def gauss_2f1(a: complex, b: complex, c: complex, v: float) -> complex:
     return complex(gauss_2f1_array(a, b, c, np.array([v], dtype=float))[0])
 
 
-def gauss_2f1_array(a, b, c, v, one_minus_v=None) -> np.ndarray:
+def gauss_2f1_array(a, b, c, v) -> np.ndarray:
     """Gauss hypergeometric 2F1(a, b; c; v) over an array of v in [0, 1).
 
     a, b and c are scalars or broadcast to P parameter sets; the result has
@@ -320,16 +320,17 @@ def gauss_2f1_array(a, b, c, v, one_minus_v=None) -> np.ndarray:
     e.g. rho above about 30 on the principal series) is recomputed by the
     connection formula; an element whose connection value loses more than
     8 digits raises AccuracyError.
+    """
+    return _gauss_2f1(a, b, c, v)[0]
+
+
+def _gauss_2f1(a, b, c, v, one_minus_v=None):
+    """gauss_2f1_array and its digits lost per element.
 
     one_minus_v may supply 1 - v to full precision (needed when v is so
     close to 1 that the subtraction underflows, e.g. tanh^2 of a large
     argument paired with sech^2); the connection branch then runs on it.
     """
-    return _gauss_2f1(a, b, c, v, one_minus_v)[0]
-
-
-def _gauss_2f1(a, b, c, v, one_minus_v=None):
-    """gauss_2f1_array and its digits lost per element."""
     shape = np.broadcast(a, b, c).shape
     a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
     v = np.asarray(v, dtype=float)

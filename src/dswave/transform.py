@@ -30,6 +30,7 @@ import numpy as np
 
 from . import specfun
 from .errors import PoleError, UnsupportedCaseError
+from .geometry import sphere_point
 from .planewave import PrincipalMass, _two_branch, radial_table
 from .specfun import HarmonicIndex, harmonic_indices, hypersph_Y
 
@@ -91,17 +92,8 @@ class SphereGrid:
         return self.phi.size
 
     def points(self) -> np.ndarray:
-        """Unit vectors of all nodes, shape (size, n): the recursion of
-        geometry.sphere_point applied to whole columns."""
-        n = self.n
-        out = np.empty((self.size, n))
-        run = np.ones(self.size)
-        for k, a in enumerate(self.phis):
-            out[:, n - 1 - k] = run * np.cos(a)
-            run = run * np.sin(a)
-        out[:, 1] = run * np.cos(self.phi)
-        out[:, 0] = run * np.sin(self.phi)
-        return out
+        """Unit vectors of all nodes, shape (size, n)."""
+        return sphere_point(self.n, self.phis, self.phi)
 
 
 # rho nodes per radial_table call when a grid fills a mode table: bounds the
@@ -504,23 +496,28 @@ def mellin_inverse(varpi, n: int, s, rho_window=(-40.0, 40.0),
 # ------------------------------------------------------------- cone pair
 
 
+# The direct intertwiner quadrature on the circle: the pole window spans
+# _POLE_CELLS cells on each side of the kernel zero; its smooth factor is a
+# degree-_FIT_DEGREE polynomial fitted on the columns out to _FIT_CELLS
+# cells; the _FILON_CELLS cells next to the window are product-integrated.
+_POLE_CELLS = 6
+_FIT_CELLS = 18
+_FIT_DEGREE = 8
+_FILON_CELLS = 48
+
+
 @dataclass(frozen=True)
 class ConeGrid:
     """Discretization of the cone: log-uniform s-grid x uniform circle.
 
     n = 2 desk scale: the sphere is a circle with n_theta nodes (even count
-    so antipodes are on-grid), pole windows of half-width pole_halfwidth
-    grid cells around the kernel zeros.
+    so antipodes are on-grid).
     """
 
     n: int = 2
     n_theta: int = 256
     s_window: tuple[float, float] = (1e-5, 1e5)
     n_s: int = 320
-    pole_cells: int = 6
-    fit_cells: int = 18
-    fit_degree: int = 8
-    filon_cells: int = 48
 
     def __post_init__(self):
         if self.n != 2:
@@ -631,7 +628,7 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     from nearby columns and the |u|^{2E+k} moments integrated in closed
     form, continued in the exponent (Re(2E+1) = 0 at n = 2 is the
     borderline homogeneity).  It serves as the independent check of the
-    symbol, and needs the 2 fit_cells + 1 fit columns around the pole to
+    symbol, and needs the 2 _FIT_CELLS + 1 fit columns around the pole to
     fit on the circle without wrapping.  Past that guard the fit limits its
     resolution, with no error raised: modes j <= 3 are off the symbol by up
     to 2.4e-2 at n_theta = 64, 2.2e-3 at 96, 8.4e-4 at 128 and 2.3e-4 at
@@ -643,10 +640,10 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     if method == "spectral":
         freqs = np.fft.fftfreq(nt, d=1.0 / nt).astype(int)
         return intertwiner_symbol(grid, rho, forward, sector, freqs)
-    if nt < 2 * grid.fit_cells + 1:
+    if nt < 2 * _FIT_CELLS + 1:
         raise UnsupportedCaseError(
-            f"method 'direct' needs n_theta >= {2 * grid.fit_cells + 2} "
-            f"(2 fit_cells + 1 columns around the pole, even), got {nt}")
+            f"method 'direct' needs n_theta >= {2 * _FIT_CELLS + 2} "
+            f"({2 * _FIT_CELLS + 1} columns around the pole, even), got {nt}")
     dth = 2.0 * math.pi / nt
     # E, phase: (n_rho, 1) columns; every row below is (n_rho, n_theta)
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
@@ -661,17 +658,17 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     pole_at = 0 if sector == 1 else nt // 2
     branch = phase if sector == 1 else 1.0 + 0.0j
 
-    w = grid.pole_cells * dth + 0.5 * dth  # window edge between cells
+    w = _POLE_CELLS * dth + 0.5 * dth  # window edge between cells
     row = ker * dth
-    # zero out the window cells (pole cell and pole_cells neighbours each side)
-    row[:, (pole_at + np.arange(-grid.pole_cells, grid.pole_cells + 1)) % nt] = 0.0
+    # zero out the window cells (pole cell and _POLE_CELLS neighbours each side)
+    row[:, (pole_at + np.arange(-_POLE_CELLS, _POLE_CELLS + 1)) % nt] = 0.0
 
     # product integration on the cells flanking the window: |u|^{2E}
     # oscillates in log u too fast there for plain midpoint weights, so the
     # kernel mass and first moment of each cell are integrated in closed
     # form, with the input's node value and central-difference slope
-    span = min(grid.filon_cells, nt // 2 - 1)
-    k = np.arange(grid.pole_cells + 1, span + 1)
+    span = min(_FILON_CELLS, nt // 2 - 1)
+    k = np.arange(_POLE_CELLS + 1, span + 1)
     u_k = k * dth
     lo, hi = (k - 0.5) * dth, (k + 0.5) * dth
     mass = (hi ** (2 * E + 1.0) - lo ** (2 * E + 1.0)) / (2 * E + 1.0)
@@ -688,20 +685,20 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
         grads[:, (pole_at + sgn * k - 1) % nt] -= grad
     row = row + grads
 
-    # pole-window correction: fit g(u) from the fit_cells nearest columns on
+    # pole-window correction: fit g(u) from the _FIT_CELLS nearest columns on
     # each side (outside the window), integrate g(u) q(u)^E |u|^{2E} over
     # |u| <= w with q(u) = 2 sin^2(u/2)/u^2
-    fit_off = np.array([k for k in range(-grid.fit_cells, grid.fit_cells + 1)
-                        if abs(k) > grid.pole_cells])
+    fit_off = np.array([k for k in range(-_FIT_CELLS, _FIT_CELLS + 1)
+                        if abs(k) > _POLE_CELLS])
     u_fit = fit_off * dth
     q = 2.0 * np.sin(np.abs(u_fit) / 2.0) ** 2 / u_fit**2
     qE = np.exp(E * np.log(q))
-    scale = grid.fit_cells * dth
-    V = np.vander(u_fit / scale, grid.fit_degree + 1, increasing=True)
+    scale = _FIT_CELLS * dth
+    V = np.vander(u_fit / scale, _FIT_DEGREE + 1, increasing=True)
     P = np.linalg.pinv(V)  # coefficients = P @ g_samples
     # moments integral |u|^{2E} (u/scale)^k over (-w, w): odd k vanish
-    mom = np.zeros((E.shape[0], grid.fit_degree + 1), dtype=complex)
-    ke = np.arange(0, grid.fit_degree + 1, 2)
+    mom = np.zeros((E.shape[0], _FIT_DEGREE + 1), dtype=complex)
+    ke = np.arange(0, _FIT_DEGREE + 1, 2)
     mom[:, ke] = 2.0 * w ** (2.0 * E + ke + 1.0) / ((2.0 * E + ke + 1.0) * scale**ke)
     # weights applied to the sampled columns; q^E folds into the fit samples
     row[:, (pole_at + fit_off) % nt] += branch * (mom @ P) * qE
@@ -755,7 +752,7 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
     return ConeSpectrum(grid, rho_nodes, _apply_sheets(eigs, varpi, tau_weight))
 
 
-def _d2_signed(n: int, j: int, k: int, rho: float) -> float:
+def _d_abs_sq_signed(n: int, j: int, k: int, rho: float) -> float:
     """|d(rho)|^2 continued to signed rho for the inverse spectral weight.
 
     The case factors of the closed form are analytic in rho (for example
@@ -785,7 +782,7 @@ def cone_fourier_inverse(psi: ConeSpectrum, rho_weights,
     rho_weights = np.asarray(rho_weights, dtype=float)
     eigs = _sheet_eigs(grid, rho_nodes, False, method)
     acc = _apply_sheets(eigs, psi.values, tau_weight)
-    d2 = np.array([_d2_signed(grid.n, d_sector[0], d_sector[1], rho)
+    d2 = np.array([_d_abs_sq_signed(grid.n, d_sector[0], d_sector[1], rho)
                    for rho in rho_nodes])
     # (n_s, n_rho): s^{-(n-1)/2 + i rho} w |d|^2 / 2 pi
     radial = (grid.s_nodes[:, None] ** (-0.5 * (grid.n - 1) + 1j * rho_nodes)

@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from dswave import geometry
 from dswave.errors import ChartSingularError
 from dswave.geometry import (HoroChart, HyperChart, SpacetimeConfig,
-                             absolute_covector, cone_measure_weight,
+                             absolute_covector, central_differences,
+                             cone_measure_weight,
                              cone_measure_weight_fd, from_horo, from_hyper,
                              minkowski_dot, origin, sphere_point, to_horo)
 
@@ -153,6 +154,68 @@ def test_absolute_covectors_rotate_into_each_other():
     assert_allclose(xi2[0], 1.0)
     # explicit target: rotation by ang in the 1-3 plane
     assert_allclose(xi2, absolute_covector(np.array(u1 @ g[1:, 1:])), atol=1e-14)
+
+
+def test_central_differences_quadratic_exact():
+    # the three-point and cross stencils are exact on quadratics
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(3, 3))
+    A = A + A.T
+    b = rng.normal(size=3)
+    q = np.array([0.3, -0.7, 1.1])
+
+    def F(x):
+        return 0.5 * x @ A @ x + b @ x + 2.0
+
+    val, g, H = central_differences(F, q, 0.25, mixed=True)
+    assert val == F(q)
+    assert_allclose(g, A @ q + b, rtol=0, atol=1e-13)
+    assert_allclose(H, A, rtol=0, atol=1e-13)
+    assert np.array_equal(H, H.T)
+    _, _, H_diag = central_differences(F, q, 0.25)
+    assert np.array_equal(H_diag, np.diag(np.diag(H)))
+
+
+def test_central_differences_richardson_quartic():
+    # on x^4 the plain stencils are off by 4 x h^2 and 2 h^2; the
+    # Richardson combination removes the h^2 term exactly
+    c = np.array([1.5, -0.5])
+    q = np.array([0.8, -1.3])
+    h = 0.1
+
+    def F(x):
+        return c @ x**4 + x[0] * x[1]
+
+    _, g, H = central_differences(F, q, h)
+    assert_allclose(np.diag(H), 12 * c * q**2 + 2 * c * h**2, rtol=1e-11)
+    assert_allclose(g, 4 * c * q**3 + q[::-1] + 4 * c * q * h**2, rtol=1e-11)
+    _, g, H = central_differences(F, q, h, richardson=True)
+    assert_allclose(np.diag(H), 12 * c * q**2, rtol=1e-11)
+    assert_allclose(g, 4 * c * q**3 + q[::-1], rtol=1e-11)
+    assert H[0, 1] == 0.0
+
+
+def test_central_differences_vector_valued_shapes():
+    # each derivative adds a trailing coordinate axis, entry by entry the
+    # scalar result of that component
+    M = np.arange(6.0).reshape(2, 3)
+
+    def F(x):
+        return np.exp(1j * M * x[0]) * (1.0 + x[1] ** 2 + x[0] * x[2])
+
+    def F01(x):
+        return F(x)[0, 1]
+
+    q = np.array([0.4, -0.2, 0.9])
+    for kw in ({}, {"richardson": True}, {"mixed": True}):
+        val, g, H = central_differences(F, q, 1e-3, **kw)
+        assert val.shape == (2, 3) and val.dtype == complex
+        assert g.shape == (2, 3, 3)
+        assert H.shape == (2, 3, 3, 3)
+        v1, g1, H1 = central_differences(F01, q, 1e-3, **kw)
+        assert val[0, 1] == v1
+        assert np.array_equal(g[0, 1], g1)
+        assert np.array_equal(H[0, 1], H1)
 
 
 def test_cone_measure_n2_constant_half():

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 from dswave import lorentz, planewave
 from dswave.errors import (AccuracyError, ComplementarySeriesError,
                            OnSingularSurfaceError)
-from dswave.geometry import (HyperChart, SpacetimeConfig, from_hyper,
-                             minkowski_dot, origin)
+from dswave.geometry import (HyperChart, SpacetimeConfig, central_differences,
+                             from_hyper, minkowski_dot, origin)
 from dswave.planewave import (AmbientWave, HyperWave, asymptotic_leading,
                               connection_constants, dalembert_residual,
                               hyper_2f1_params, ode_variant_report, parity,
@@ -218,17 +218,13 @@ def test_dalembert_angular_singularity_raises():
 
 def test_constant_function_not_eigen():
     # (box - mu^2) 1 = -mu^2: the separated operator on a constant
-    from dswave.planewave import _d1, _d2, _sphere_laplacian_fd
     n, rho = 3, 1.0
     mu2 = rho**2 + 1.0
-
-    def const_beta(b):
-        return 1.0 + 0.0j
-
-    box = (-_d2(const_beta, 0.5, 1e-3, False)
-           - (n - 1) * np.tanh(0.5) * _d1(const_beta, 0.5, 1e-3, False)
-           + _sphere_laplacian_fd(lambda p, f: 1.0 + 0.0j, [1.0], 0.3, n,
-                                  1e-3, False) / np.cosh(0.5) ** 2)
+    b, phi1 = 0.5, 1.0
+    _, g, H = central_differences(lambda q: 1.0 + 0.0j, [b, phi1, 0.3], 1e-3)
+    lap = (H[1, 1] + (n - 2) * (np.cos(phi1) / np.sin(phi1)) * g[1]
+           + H[2, 2] / np.sin(phi1) ** 2)
+    box = -H[0, 0] - (n - 1) * np.tanh(b) * g[0] + lap / np.cosh(b) ** 2
     assert abs(box - mu2 * 1.0) > 1.0  # nowhere near an eigenfunction
 
 

@@ -458,17 +458,19 @@ def test_harmonic_matches_legendre_product_form():
 
 def test_harmonic_laplacian_eigenvalue_fd():
     # FD sphere Laplacian residual falls at O(h^2)
-    from dswave.planewave import _sphere_laplacian_fd
+    from dswave.geometry import central_differences
     idx = HarmonicIndex(3, 1, (2,))
     lam = specfun.sphere_laplacian_eigenvalue(idx)
+    p1, phi = 0.9, 0.7
 
-    def F(phis, phi):
-        return complex(hypersph_Y(idx, phis, phi))
+    def F(q):
+        return complex(hypersph_Y(idx, q[:1], q[1]))
 
     errs = []
     for h in (2e-3, 1e-3):
-        lap = _sphere_laplacian_fd(F, [0.9], 0.7, 3, h, False)
-        errs.append(abs(lap - lam * F([0.9], 0.7)))
+        val, g, H = central_differences(F, [p1, phi], h)
+        lap = H[0, 0] + (np.cos(p1) / np.sin(p1)) * g[0] + H[1, 1] / np.sin(p1) ** 2
+        errs.append(abs(lap - lam * val))
     order = math.log2(errs[0] / errs[1])
     assert 1.8 < order < 2.2
 

@@ -575,7 +575,7 @@ def test_intertwiner_eigenvalue_vs_d_abs():
 def test_cone_mode_round_trip_identity():
     # |d|^2 lam_fwd lam_inv = 1 exactly, on both half lines with the
     # signed-rho weight
-    from dswave.transform import _d2_signed
+    from dswave.transform import _d_abs_sq_signed
     grid = ConeGrid(n=2, n_theta=64)
     for rho in (0.6, 1.3, -0.6, -1.3):
         for (j, k) in ((0, 0), (1, 0), (2, 1)):
@@ -583,7 +583,7 @@ def test_cone_mode_round_trip_identity():
                      + (-1) ** k * intertwiner_symbol(grid, rho, True, -1, j)[0])
             lam_i = (intertwiner_symbol(grid, rho, False, 1, j)[0]
                      + (-1) ** k * intertwiner_symbol(grid, rho, False, -1, j)[0])
-            assert_allclose(_d2_signed(2, j, k, rho) * lam_f * lam_i, 1.0,
+            assert_allclose(_d_abs_sq_signed(2, j, k, rho) * lam_f * lam_i, 1.0,
                             rtol=1e-12)
 
 
@@ -756,7 +756,7 @@ def test_cone_pair_matches_dense_reference(method):
                 acc = sum((tau if tau_weight == "signed" else 1.0)
                           * mats[(False, tp * tau, r)] @ vals[tau][:, r]
                           for tau in (1, -1))
-                inv_ref[tp] += (wr * transform._d2_signed(2, 0, 0, rho)
+                inv_ref[tp] += (wr * transform._d_abs_sq_signed(2, 0, 0, rho)
                                 / (2 * math.pi)
                                 * np.outer(radial, acc))
 
@@ -772,7 +772,7 @@ def test_cone_pair_matches_dense_reference(method):
 
 @pytest.mark.parametrize("n_theta", [16, 36])
 def test_cone_direct_refuses_wrapped_stencil(n_theta):
-    # 2 fit_cells + 1 = 37 fit columns around the pole wrap on a smaller circle
+    # 2 _FIT_CELLS + 1 = 37 fit columns around the pole wrap on a smaller circle
     grid = ConeGrid(n=2, n_theta=n_theta, s_window=(1e-3, 1e3), n_s=60)
     h = ConeFunction(2, lambda s, tp, xp: np.exp(-np.log(s) ** 2) * xp[1],
                      grid.s_window)
