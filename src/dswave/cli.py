@@ -175,8 +175,7 @@ def cmd_planewave(cfg: dict, args) -> int:
         xi = np.zeros(n + 1)
         xi[0] = xi[-1] = 1.0
         wave = planewave.AmbientWave(tuple(xi), mass)
-        xs = np.stack([from_hyper(st, HyperChart(float(b), angles, 0.0))
-                       for b in betas])
+        xs = from_hyper(st, HyperChart(betas, angles, 0.0))
         vals = planewave.psi_ambient(wave, xs)  # NaN where x.xi = 0
         dropped = np.isnan(vals)
         meta["dropped_nodes"] = int(dropped.sum())
@@ -203,8 +202,7 @@ def cmd_wavepacket(cfg: dict, args) -> int:
                           int(cfg["path_points"]))
     betas = np.log(s_vals / st.R)
     dir_angles = tuple([np.pi / 3] * (n - 2))
-    pts = np.stack([from_hyper(st, HyperChart(float(b), dir_angles, 0.5))
-                    for b in betas])
+    pts = from_hyper(st, HyperChart(betas, dir_angles, 0.5))
     vals, rep = transform.wavepacket_ambient(spec, pts, full_output=True)
     # envelope bins must span the modulus oscillation (period pi/mu' in
     # log s); meaningful fits need paths covering several periods

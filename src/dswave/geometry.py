@@ -186,12 +186,14 @@ def from_hyper(cfg: SpacetimeConfig, chart: HyperChart) -> np.ndarray:
     """Map hyperbolic coordinates to ambient coordinates.
 
     x_0 = R sinh(beta); the spatial part is R cosh(beta) times a unit vector
-    on S^{n-1} in the chart's angle ordering.
+    on S^{n-1} in the chart's angle ordering.  Broadcasts over arrays of
+    chart coordinates: the result has shape
+    broadcast(beta, phis..., phi).shape + (n + 1,).
     """
-    x = np.empty(cfg.n + 1)
-    x[0] = cfg.R * np.sinh(chart.beta)
-    x[1:] = cfg.R * np.cosh(chart.beta) * sphere_point(cfg.n, chart.phis, chart.phi)
-    return x
+    beta = np.asarray(chart.beta, dtype=float)[..., None]
+    space = cfg.R * np.cosh(beta) * sphere_point(cfg.n, chart.phis, chart.phi)
+    time = np.broadcast_to(cfg.R * np.sinh(beta), space.shape[:-1] + (1,))
+    return np.concatenate((time, space), axis=-1)
 
 
 def absolute_covector(u, tol: float = 1e-10) -> np.ndarray:

@@ -535,6 +535,6 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
     spread = max(abs(d - full) for d in drops) / max(abs(full), 1e-300)
     if spread > rel_check:
         raise AccuracyError(f"eps-extrapolation unstable: spread {spread:.2e}")
-    gam = math.sqrt(specfun.abs_gamma_sq(0.5 * (n - 1) + 1j * rho))
+    gam = math.exp(specfun.ln_gamma(0.5 * (n - 1) + 1j * rho).real)
     return gam * math.exp(0.5 * math.pi * rho) / (
         (2.0 * math.pi) ** (0.5 * (n + 1)) * abs(full))

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, ComplementarySeriesError, OnSingularSurfaceError
+from .errors import (AccuracyError, ChartSingularError, ComplementarySeriesError,
+                     OnSingularSurfaceError)
 from .geometry import (HyperChart, SpacetimeConfig, central_differences,
                        minkowski_dot)
 from .specfun import HarmonicIndex
@@ -193,8 +194,7 @@ def radial_table(n: int, alpha: int, rhos, tops, beta,
         raise AccuracyError(
             f"|beta| = {np.max(ab):g} too large: sech^2 underflows")
     log_cosh = ab + np.log1p(e) - np.log(2.0)
-    K = np.array([[specfun.norm_K(alpha, n, int(l), float(r)) for l in tops[0]]
-                  for r in rhos[:, 0]])
+    K = specfun.norm_K(alpha, n, tops, rhos)
     f, lost = specfun._gauss_2f1(*_params_2f1(n, alpha, rhos, tops, mirror_params),
                                  np.tanh(ab) ** 2, one_minus_v=w)
     env = np.exp((-0.5 * (n - 1) + 1j * rhos[:, :, None]) * log_cosh)
@@ -294,13 +294,15 @@ def dalembert_residual(wave: HyperWave, chart: HyperChart, h: float = 1e-3,
     box = -d^2/db^2 - (n-1) tanh(b) d/db + Delta/cosh^2(b) in unit-radius
     coordinates, with mu^2 = rho^2 + (n-1)^2/4, and the sphere Laplacian in
     its recursive form: sum_k (d_k^2 + (n-1-k) cot(phi_k) d_k) / prod_{i<k}
-    sin^2(phi_i), the azimuth term over the full product.  Angular
-    coordinate singularities (sin(phi_k) = 0) raise.
+    sin^2(phi_i), the azimuth term over the full product.  A polar angle
+    within h of an angular coordinate singularity (phi_k = 0 or pi), which
+    the stencil would reach, raises ChartSingularError.
     """
     n, rho = wave.n, wave.rho
     for p in chart.phis:
-        if abs(np.sin(p)) < 1e-8:
-            raise ValueError("chart point on an angular coordinate singularity")
+        if abs(p - np.pi * np.round(p / np.pi)) <= h:
+            raise ChartSingularError(
+                f"polar angle {p} within the step h = {h} of a chart pole")
     mu2 = rho**2 + 0.25 * (n - 1) ** 2
     # q = (beta, phi_1..phi_{n-2}, phi)
     val, g, H = central_differences(

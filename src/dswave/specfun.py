@@ -3,6 +3,12 @@ functions, hyperspherical harmonics, Bessel J, the normalization
 constants of the hyperbolic plane waves and of the cone intertwiner, the
 incomplete Gamma functions, and the Gauss rules of every quadrature.
 
+Every Gamma product goes through ln_gamma, one broadcast Lanczos
+evaluation with a masked reflection step, and the Gamma helpers built on
+it broadcast: connection_gammas over parameter sets, norm_K over the top
+label and rho, d_abs and gamma_upper over their arguments, each with one
+ln_gamma call.
+
 2F1 lives in one kernel: gauss_2f1_array (gauss_2f1 is its one-point call)
 sums the one power series, _series_2f1_array, below a switch point v* and
 evaluates the 1-v connection formula above it, with the Gamma ratios of
@@ -35,7 +41,6 @@ from .errors import AccuracyError, PoleError, UnsupportedCaseError
 __all__ = [
     "HarmonicIndex",
     "ln_gamma",
-    "abs_gamma_sq",
     "gamma_upper",
     "gamma_lower_scaled",
     "gauss_2f1",
@@ -78,38 +83,39 @@ _LANCZOS = (
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def ln_gamma(z: complex) -> complex:
-    """Principal-branch log Gamma via the Lanczos approximation.
+def ln_gamma(z):
+    """Principal-branch log Gamma via the Lanczos approximation, broadcast over z.
 
-    Accurate to about 1e-13 relative in exp(ln_gamma) over the tested
-    strip |Im z| <= 30; poles at non-positive integers raise PoleError.
+    Within 1e-15 max(1, |z log z|) of mpmath.loggamma over Re z in [-20, 20] and
+    |Im z| <= 2000, 0.05 or more from the poles; a pole in z raises PoleError.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"log Gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: log Gamma(z) = log(pi / sin(pi z)) - log Gamma(1 - z)
-        return (math.log(math.pi) - _log_sin_pi(z)) - ln_gamma(1.0 - z)
-    zm = z - 1.0
-    acc = _LANCZOS[0]
-    for k in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[k] / (zm + k)
+    z = np.asarray(z, dtype=complex)
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if np.any(pole):
+        raise PoleError(f"log Gamma pole at z = {z[pole][0]}")
+    refl = z.real < 0.5
+    zm = np.where(refl, 1.0 - z, z) - 1.0
+    # c_k / (zm + k) for all k by Smith's division, as Python's complex type divides
+    k = np.arange(1, len(_LANCZOS)).reshape((-1,) + (1,) * zm.ndim)
+    x, y, c = zm.real + k, zm.imag, np.take(_LANCZOS, k)
+    p = np.where(x >= np.abs(y), x, y)
+    xp, yp = x / p, y / p
+    den = x * xp + y * yp
+    re, im = _LANCZOS[0], 0.0
+    for r, i in zip(c * xp / den, c * yp / den):  # summed in order of k
+        re, im = re + r, im - i
     t = zm + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm + 0.5) * np.log(t) - t + np.log(acc)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    """log(sin(pi z)) computed to avoid overflow for large |Im z|."""
-    iz = complex(0.0, 1.0) * math.pi * z
-    # sin(pi z) = (e^{i pi z} - e^{-i pi z}) / (2i)
-    if z.imag > 0:
-        return -iz + np.log(np.expm1(2 * iz) + 0.0j) - np.log(2j)
-    return iz + np.log(-np.expm1(-2 * iz) + 0.0j) - np.log(2j)
-
-
-def abs_gamma_sq(z: complex) -> float:
-    """|Gamma(z)|^2 = exp(2 Re log Gamma(z))."""
-    return float(np.exp(2.0 * ln_gamma(z).real))
+    out = np.asarray(_LOG_SQRT_2PI + (zm + 0.5) * np.log(t) - t + np.log(re + 1j * im))
+    if np.any(refl):
+        # log sin(pi z) = log(1 - e^{2u}) - u + sgn i pi/2 - log 2 with u = sgn i pi z;
+        # sgn = +-1 as Im z >= 0 or < 0 keeps the log off its cut: the principal branch
+        zr = z[refl]
+        sgn = np.where(zr.imag >= 0.0, 1.0, -1.0)
+        u = sgn * (1j * math.pi * zr)
+        log_sin = (np.log(-np.expm1(2.0 * u)) - u
+                   + (sgn * (0.5j * math.pi) - math.log(2.0)))
+        out[refl] = (math.log(math.pi) - log_sin) - out[refl]
+    return out[()]
 
 
 # gamma_upper: |z| below which the Kummer series runs, the step cap of
@@ -146,9 +152,7 @@ def gamma_upper(s, z) -> np.ndarray:
     near = np.abs(z) < _GAMMA_SERIES_RADIUS
     if np.any(near):
         sn, zn = s[near], z[near]
-        uniq, inv = np.unique(sn, return_inverse=True)
-        gam = np.exp(np.array([ln_gamma(v) for v in uniq]))[inv]
-        out[near] = gam - zn ** sn * gamma_lower_scaled(sn, zn)
+        out[near] = np.exp(ln_gamma(sn)) - zn ** sn * gamma_lower_scaled(sn, zn)
     if not np.all(near):
         out[~near] = _gamma_upper_fraction(s[~near], z[~near])
     return out[()]
@@ -211,8 +215,9 @@ def _gamma_upper_fraction(s: np.ndarray, z: np.ndarray) -> np.ndarray:
                         f"in {_GAMMA_MAX_STEPS} steps")
 
 
-def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
-    return abs(z.imag) < tol and z.real < 0.5 and abs(z.real - round(z.real)) < tol
+def _is_nonpositive_int(z, tol: float = 1e-12):
+    return ((np.abs(z.imag) < tol) & (z.real < 0.5)
+            & (np.abs(z.real - np.round(z.real)) < tol))
 
 
 # terms per block of the 2F1 series: one (P x 16) @ (16 x V) product adds a
@@ -239,7 +244,10 @@ def _series_2f1_array(a, b, c, v: np.ndarray):
     v^k as columns, so the block is one complex and one real matrix
     product.  A set leaves the loop once the last term of every point is
     within _SERIES_TOL of its sum (checked at block ends), so its values
-    do not depend on the other sets of the call.
+    do not depend on the other sets of the call.  A set whose coefficients
+    overflow (|c_k| above the float range, as at rho of about 800 on the
+    principal series) leaves the loop at that block: its points not yet
+    summed get infinite mass, over any digit budget.
     """
     a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
     v = np.asarray(v, dtype=float)
@@ -247,6 +255,7 @@ def _series_2f1_array(a, b, c, v: np.ndarray):
     mass = np.ones((a.size, v.size))
     live = np.arange(a.size)
     coef = np.ones(a.size, dtype=complex)       # c_k at the block start
+    done = np.zeros((a.size, v.size), dtype=bool)  # points whose sum is final
     vk = np.ones(v.size)                        # v^k at the block start
     steps = np.arange(_SERIES_BLOCK)
     vpow = v[None, :] ** (steps[:, None] + 1.0)  # v^1 .. v^16
@@ -254,17 +263,25 @@ def _series_2f1_array(a, b, c, v: np.ndarray):
         k = k0 + steps
         ratio = ((a[live, None] + k) * (b[live, None] + k)
                  / ((c[live, None] + k) * (k + 1.0)))
-        cs = coef[:, None] * np.cumprod(ratio, axis=1)
         pw = vk * vpow
-        acc[live] += cs @ pw
-        mass[live] += np.abs(cs) @ pw
+        with np.errstate(over="ignore", invalid="ignore"):
+            cs = coef[:, None] * np.cumprod(ratio, axis=1)
+            add, add_mass = cs @ pw, np.abs(cs) @ pw
+        ok = np.all(np.isfinite(add_mass), axis=1)
+        if not np.all(ok):
+            blown = live[~ok]
+            mass[blown] = np.where(done[~ok], mass[blown], np.inf)
+            live, done, cs, add, add_mass = (live[ok], done[ok], cs[ok],
+                                             add[ok], add_mass[ok])
+        acc[live] += add
+        mass[live] += add_mass
         coef, vk = cs[:, -1], pw[-1]
-        last = np.abs(coef)[:, None] * vk
-        fin = np.all(last <= _SERIES_TOL
-                     * np.maximum(np.abs(acc[live]), 1e-300), axis=1)
+        done = (np.abs(coef)[:, None] * vk
+                <= _SERIES_TOL * np.maximum(np.abs(acc[live]), 1e-300))
+        fin = np.all(done, axis=1)
         if np.all(fin):
             return acc, mass
-        live, coef = live[~fin], coef[~fin]
+        live, coef, done = live[~fin], coef[~fin], done[~fin]
     raise AccuracyError(f"2F1 series did not converge in {_MAX_TERMS} terms")
 
 
@@ -273,15 +290,14 @@ def _digits_lost(mass, value):
         return np.maximum(np.log10(mass / np.abs(value)), 0.0)
 
 
-def connection_gammas(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+def connection_gammas(a, b, c):
     """Gamma ratios (G1, G2) of the 1-v connection formula (A&S 15.3.6):
     2F1(a,b;c;v) = G1 F(a,b;a+b-c+1;1-v) + G2 (1-v)^{c-a-b} F(c-a,c-b;c-a-b+1;1-v).
+    Broadcast over a, b and c.
     """
     s = c - a - b
-    lc = ln_gamma(c)
-    g1 = np.exp(lc + ln_gamma(s) - ln_gamma(c - a) - ln_gamma(c - b))
-    g2 = np.exp(lc + ln_gamma(-s) - ln_gamma(a) - ln_gamma(b))
-    return complex(g1), complex(g2)
+    g = ln_gamma(np.broadcast_arrays(c, s, c - a, c - b, -s, a, b))
+    return np.exp(g[0] + g[1] - g[2] - g[3]), np.exp(g[0] + g[4] - g[5] - g[6])
 
 
 def _connection_2f1(a, b, c, w):
@@ -294,8 +310,8 @@ def _connection_2f1(a, b, c, w):
             f"connection formula degenerate: c-a-b = {s} has an integer entry")
     f1, m1 = _series_2f1_array(a, b, a + b + 1.0 - c, w)
     f2, m2 = _series_2f1_array(c - a, c - b, 1.0 + s, w)
-    g = np.array([connection_gammas(*p) for p in zip(a, b, c)])
-    e1, e2 = g[:, :1], g[:, 1:] * np.exp(s[:, None] * np.log(w))
+    g1, g2 = connection_gammas(a, b, c)
+    e1, e2 = g1[:, None], g2[:, None] * np.exp(s[:, None] * np.log(w))
     out = e1 * f1 + e2 * f2
     return out, _digits_lost(np.abs(e1) * m1 + np.abs(e2) * m2, out)
 
@@ -317,9 +333,9 @@ def gauss_2f1_array(a, b, c, v) -> np.ndarray:
 
     Each element carries its digits lost, log10(sum |term| / |value|).  A
     direct-series element that loses more than 8 digits (large |a b| v,
-    e.g. rho above about 30 on the principal series) is recomputed by the
-    connection formula; an element whose connection value loses more than
-    8 digits raises AccuracyError.
+    e.g. rho above about 30 on the principal series), or whose series
+    overflows, is recomputed by the connection formula; an element whose
+    connection value loses more than 8 digits raises AccuracyError.
     """
     return _gauss_2f1(a, b, c, v)[0]
 
@@ -337,9 +353,9 @@ def _gauss_2f1(a, b, c, v, one_minus_v=None):
     w_all = 1.0 - v if one_minus_v is None else np.asarray(one_minus_v, dtype=float)
     if not np.all((v >= 0.0) & (w_all > 0.0)):
         raise ValueError("arguments must lie in [0, 1)")
-    for cc in c:
-        if _is_nonpositive_int(cc):
-            raise PoleError(f"2F1 parameter c = {cc} is a non-positive integer")
+    pole = _is_nonpositive_int(c)
+    if np.any(pole):
+        raise PoleError(f"2F1 parameter c = {c[pole][0]} is a non-positive integer")
     vshape = v.shape
     v, w_all = v.ravel(), np.ravel(w_all)
     out = np.empty((a.size, v.size), dtype=complex)
@@ -350,14 +366,18 @@ def _gauss_2f1(a, b, c, v, one_minus_v=None):
         out[:, lo], lost[:, lo] = f, _digits_lost(mass, f)
     if np.any(~lo):
         out[:, ~lo], lost[:, ~lo] = _connection_2f1(a, b, c, w_all[~lo])
-    # direct-series elements over the budget take the connection formula
-    cols = np.flatnonzero(lo)
-    for p in np.flatnonzero(np.any(lost[:, cols] > _DIGIT_BUDGET, axis=1)):
-        bad = cols[lost[p, cols] > _DIGIT_BUDGET]
-        out[p, bad], lost[p, bad] = _connection_2f1(
-            a[p:p + 1], b[p:p + 1], c[p:p + 1], w_all[bad])
-    if np.any(lost > _DIGIT_BUDGET):
-        p, j = np.unravel_index(np.argmax(lost), lost.shape)
+    # direct-series elements over the budget, a non-finite loss included,
+    # take the connection formula in one call over their sets and points
+    over = lo & ~(lost <= _DIGIT_BUDGET)
+    if np.any(over):
+        sub = np.ix_(np.any(over, axis=1), np.any(over, axis=0))
+        rows = sub[0][:, 0]
+        f, loss = _connection_2f1(a[rows], b[rows], c[rows], w_all[sub[1][0]])
+        out[sub] = np.where(over[sub], f, out[sub])
+        lost[sub] = np.where(over[sub], loss, lost[sub])
+    if not np.all(lost <= _DIGIT_BUDGET):
+        p, j = np.unravel_index(np.argmax(np.nan_to_num(lost, nan=np.inf)),
+                                lost.shape)
         raise AccuracyError(
             f"2F1({a[p]:.6g}, {b[p]:.6g}; {c[p]:.6g}; {v[j]:.6g}) loses "
             f"{lost[p, j]:.1f} digits to cancellation on the connection branch "
@@ -504,9 +524,9 @@ class HarmonicIndex:
 def _block_norm(lam: float, kappa: int) -> float:
     # 1 / sqrt of  integral_0^pi [C^(lam)_kappa(cos t)]^2 (sin t)^{2 lam} dt
     ln_h = (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0)
-            + float(ln_gamma(kappa + 2.0 * lam).real)
-            - math.log(kappa + lam) - float(ln_gamma(kappa + 1.0).real)
-            - 2.0 * float(ln_gamma(lam).real))
+            + math.lgamma(kappa + 2.0 * lam)
+            - math.log(kappa + lam) - math.lgamma(kappa + 1.0)
+            - 2.0 * math.lgamma(lam))
     return math.exp(-0.5 * ln_h)
 
 
@@ -590,8 +610,8 @@ def bessel_j(nu: float, x):
         return np.where(x == 0.0, 0.0, env * np.sin(x))[()]
 
 
-def norm_K(alpha: int, n: int, l: int, rho: float) -> float:
-    """Normalization constants of the hyperbolic plane waves.
+def norm_K(alpha: int, n: int, l, rho):
+    """Normalization constants of the hyperbolic waves, broadcast over l and rho.
 
     alpha = 1 is the odd family, alpha = 2 the even one.  Both expressions
     carry sinh(pi rho) in the denominator, so rho = 0 is a pole.  Built
@@ -599,23 +619,25 @@ def norm_K(alpha: int, n: int, l: int, rho: float) -> float:
     """
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
-    if rho <= 0:
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
         raise PoleError("normalization constants need rho > 0")
     # ln |Gamma(lo)|^2 / |Gamma(hi)|^2 with lo, hi = (i rho + l + (n -+ 1)/2) / 2
-    ln_ratio = 2.0 * float(ln_gamma(0.5 * (1j * rho + l + 0.5 * (n - 1))).real
-                           - ln_gamma(0.5 * (1j * rho + l + 0.5 * (n + 1))).real)
+    lo, hi = ln_gamma([0.5 * (1j * rho + l + 0.5 * (n - 1)),
+                       0.5 * (1j * rho + l + 0.5 * (n + 1))]).real
+    ln_ratio = 2.0 * (lo - hi)
     # (cosh x + c) / sinh x = ((1 - e)^2 + 2 (1 + c) e) / ((1 - e)(1 + e)) at
     # x = pi rho, e = e^{-x}: no overflow, and no cancellation at small rho
     c = (-1.0) ** l * math.cos((n - 1) * math.pi / 2.0)
     if alpha == 1:
         c, ln_ratio = -c, -ln_ratio
-    e = math.exp(-math.pi * rho)
-    d = -math.expm1(-math.pi * rho)
-    return math.pi * (d * d + 2.0 * (1.0 + c) * e) / (d * (1.0 + e)) * math.exp(-ln_ratio)
+    e = np.exp(-math.pi * rho)
+    d = -np.expm1(-math.pi * rho)
+    return math.pi * (d * d + 2.0 * (1.0 + c) * e) / (d * (1.0 + e)) * np.exp(-ln_ratio)
 
 
-def d_abs(n: int, j: int, k: int, rho: float) -> float:
-    """Modulus of the cone-intertwiner constant d(rho).
+def d_abs(n: int, j: int, k: int, rho):
+    """Modulus of the cone-intertwiner constant d(rho), broadcast over rho.
 
     |d| = (2 pi)^{-(n+1)/2} |Gamma((n-1)/2 + i rho)| / |Gamma(-i rho)| times
     a parity factor: pi sqrt(2 (1 + tanh(pi rho))) for even n, and
@@ -626,15 +648,15 @@ def d_abs(n: int, j: int, k: int, rho: float) -> float:
     The even-n factor carries tanh (the value the intertwiner integrals
     actually produce); see the accompanying oracle in the limits module.
     """
-    if rho <= 0:
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
         raise PoleError("d(rho) needs rho > 0")
-    base = ((2.0 * math.pi) ** (-0.5 * (n + 1))
-            * math.exp(float(ln_gamma(0.5 * (n - 1) + 1j * rho).real
-                             - ln_gamma(-1j * rho).real)))
+    num, den = ln_gamma([0.5 * (n - 1) + 1j * rho, -1j * rho]).real
+    base = (2.0 * math.pi) ** (-0.5 * (n + 1)) * np.exp(num - den)
     if n % 2 == 0:
-        factor = math.pi * math.sqrt(2.0 * (1.0 + math.tanh(math.pi * rho)))
+        factor = math.pi * np.sqrt(2.0 * (1.0 + np.tanh(math.pi * rho)))
     elif (n - 1 + 2 * (j - k)) % 4 == 0:
-        factor = math.pi * (1.0 + math.tanh(math.pi * rho / 2.0))
+        factor = math.pi * (1.0 + np.tanh(math.pi * rho / 2.0))
     else:
-        factor = math.pi * (1.0 + 1.0 / math.tanh(math.pi * rho / 2.0))
+        factor = math.pi * (1.0 + 1.0 / np.tanh(math.pi * rho / 2.0))
     return base * factor

@@ -597,11 +597,10 @@ def intertwiner_symbol(grid: ConeGrid, rho, forward: bool,
     (n_j, n_rho).
     """
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
-    lg = specfun.ln_gamma
     aj = np.abs(np.atleast_1d(np.asarray(j, dtype=int)))
     k = np.arange(aj.max(initial=0))
     lam = np.empty((E.shape[0], k.size + 1), dtype=complex)
-    lg0 = np.array([[lg(1 + 2 * e) - 2 * lg(1 + e)] for e in E[:, 0]])
+    lg0 = specfun.ln_gamma(1 + 2 * E) - 2 * specfun.ln_gamma(1 + E)
     lam[:, :1] = 2.0 ** (-E) * 2.0 * math.pi * np.exp(lg0)
     lam[:, 1:] = lam[:, :1] * np.cumprod((E - k) / (1 + E + k), axis=1)
     lam = lam[:, aj]
@@ -752,7 +751,7 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
     return ConeSpectrum(grid, rho_nodes, _apply_sheets(eigs, varpi, tau_weight))
 
 
-def _d_abs_sq_signed(n: int, j: int, k: int, rho: float) -> float:
+def _d_abs_sq_signed(n: int, j: int, k: int, rho):
     """|d(rho)|^2 continued to signed rho for the inverse spectral weight.
 
     The case factors of the closed form are analytic in rho (for example
@@ -761,8 +760,8 @@ def _d_abs_sq_signed(n: int, j: int, k: int, rho: float) -> float:
     this continuation does the forward/inverse pair compose to the
     identity on the negative-rho half line.
     """
-    base = specfun.d_abs(n, j, k, abs(rho)) ** 2
-    return base if rho > 0 else base * math.exp(-2.0 * math.pi * abs(rho))
+    base = specfun.d_abs(n, j, k, np.abs(rho)) ** 2
+    return np.where(rho > 0, base, base * np.exp(-2.0 * math.pi * np.abs(rho)))[()]
 
 
 def cone_fourier_inverse(psi: ConeSpectrum, rho_weights,
@@ -782,8 +781,7 @@ def cone_fourier_inverse(psi: ConeSpectrum, rho_weights,
     rho_weights = np.asarray(rho_weights, dtype=float)
     eigs = _sheet_eigs(grid, rho_nodes, False, method)
     acc = _apply_sheets(eigs, psi.values, tau_weight)
-    d2 = np.array([_d_abs_sq_signed(grid.n, d_sector[0], d_sector[1], rho)
-                   for rho in rho_nodes])
+    d2 = _d_abs_sq_signed(grid.n, d_sector[0], d_sector[1], rho_nodes)
     # (n_s, n_rho): s^{-(n-1)/2 + i rho} w |d|^2 / 2 pi
     radial = (grid.s_nodes[:, None] ** (-0.5 * (grid.n - 1) + 1j * rho_nodes)
               * (rho_weights * d2 / (2.0 * math.pi)))

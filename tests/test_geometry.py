@@ -122,6 +122,23 @@ def test_from_hyper_origin_and_circle():
                     [0, 0, 0, 0, 3.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_from_hyper_broadcasts_over_chart_arrays(n):
+    # an array beta (and angle arrays) gives the rows of the one-point calls
+    cfg = SpacetimeConfig(n=n, R=1.7)
+    betas = np.linspace(-3.0, 3.0, 7)
+    phis = tuple([np.pi / 3] * (n - 2))
+    rows = from_hyper(cfg, HyperChart(betas, phis, 0.5))
+    assert rows.shape == (7, n + 1)
+    one = [from_hyper(cfg, HyperChart(float(b), phis, 0.5)) for b in betas]
+    assert np.array_equal(rows, np.stack(one))
+    phi = np.linspace(0.0, 6.0, 4)[:, None]
+    grid = from_hyper(cfg, HyperChart(betas, phis, phi))
+    assert grid.shape == (4, 7, n + 1)
+    assert np.array_equal(grid[2, 5],
+                          from_hyper(cfg, HyperChart(betas[5], phis, phi[2, 0])))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_hyper_points_on_shell(n):
     rng = np.random.default_rng(20 + n)

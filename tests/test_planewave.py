@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dswave import lorentz, planewave
-from dswave.errors import (AccuracyError, ComplementarySeriesError,
-                           OnSingularSurfaceError)
+from dswave.errors import (AccuracyError, ChartSingularError,
+                           ComplementarySeriesError, OnSingularSurfaceError)
 from dswave.geometry import (HyperChart, SpacetimeConfig, central_differences,
                              from_hyper, minkowski_dot, origin)
 from dswave.planewave import (AmbientWave, HyperWave, asymptotic_leading,
@@ -214,6 +215,14 @@ def test_dalembert_angular_singularity_raises():
     wave = HyperWave(2, 0.9, HarmonicIndex(3, 0, (1,)))
     with pytest.raises(ValueError):
         dalembert_residual(wave, HyperChart(0.5, (0.0,), 0.0))
+    # the stencil reaches phi_k +- h, so a polar angle within h of 0 or pi
+    # raises too, where the residual of an exact solution would read 0.37
+    # (phi_1 = 1e-3) or 3.7e3 (phi_1 = 1e-5)
+    wave = HyperWave(2, 0.9, HarmonicIndex(3, 1, (2,)))
+    for phi1 in (1e-3, 1e-5, np.pi - 5e-4):
+        with pytest.raises(ChartSingularError):
+            dalembert_residual(wave, HyperChart(0.7, (phi1,), 0.9), h=1e-3)
+    assert dalembert_residual(wave, HyperChart(0.7, (1.1,), 0.9), h=1e-3) < 1e-4
 
 
 def test_constant_function_not_eigen():
@@ -277,6 +286,25 @@ def test_radial_profile_accurate_or_raises(n, l, alpha, rho, beta):
         got = complex(radial_profile(wave, beta))
     except AccuracyError:
         return
+    with mp.workdps(60):
+        ref = _radial_profile_mp(wave, mp.mpf(beta))
+    assert abs(got - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("rho", [800.0, 1600.0])
+@pytest.mark.parametrize("beta", [0.1, 0.5])
+def test_radial_profile_series_overflow_accurate_or_raises(rho, beta):
+    # the direct-series coefficients of 2F1 overflow here: the profile is
+    # within 1e-8 of mpmath or an AccuracyError that names the digits lost,
+    # and no numpy warning escapes on the way
+    wave = HyperWave(2, rho, HarmonicIndex(3, 0, (2,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = complex(radial_profile(wave, beta))
+        except AccuracyError as err:
+            assert "digits" in str(err)
+            return
     with mp.workdps(60):
         ref = _radial_profile_mp(wave, mp.mpf(beta))
     assert abs(got - ref) <= 1e-8 * abs(ref)

@@ -32,15 +32,18 @@ def test_ln_gamma_pole():
         ln_gamma(0.0)
     with pytest.raises(PoleError):
         ln_gamma(-3.0)
+    # one pole anywhere in an array
+    with pytest.raises(PoleError):
+        ln_gamma(np.array([[0.5 + 1j, 2.0], [-3.0 + 0j, 1.5 - 2j]]))
 
 
 def test_gamma_reflection_identities():
     # |Gamma(i rho)|^2 = pi / (rho sinh(pi rho)), |Gamma(1/2 + i rho)|^2 =
     # pi / cosh(pi rho): the two workhorse moduli
     for rho in (0.5, 1.0, 2.5):
-        assert_allclose(specfun.abs_gamma_sq(1j * rho),
+        assert_allclose(np.exp(2.0 * ln_gamma(1j * rho).real),
                         math.pi / (rho * math.sinh(math.pi * rho)), rtol=1e-12)
-        assert_allclose(specfun.abs_gamma_sq(0.5 + 1j * rho),
+        assert_allclose(np.exp(2.0 * ln_gamma(0.5 + 1j * rho).real),
                         math.pi / math.cosh(math.pi * rho), rtol=1e-12)
 
 
@@ -67,6 +70,27 @@ def test_ln_gamma_vs_scipy():
             continue
         a, b = np.exp(ln_gamma(z)), np.exp(scipy_loggamma(z))
         assert abs(a - b) / abs(b) < 1e-12
+
+
+def test_ln_gamma_array_vs_mpmath():
+    # one broadcast call over the wide strip, the reflection half-plane near
+    # the real axis and the negative real axis, where the principal branch
+    # is the limit from above.  The error is the rounding of terms of size
+    # |z log z|, so the bound is relative to max(1, |z log z|); within about
+    # 0.05 of a pole the rounding of pi z grows as |z| / distance, so the
+    # sample keeps out of those discs.
+    rng = np.random.default_rng(5)
+    z = np.concatenate([
+        rng.uniform(-20.0, 20.0, 300) + 1j * rng.uniform(-2000.0, 2000.0, 300),
+        rng.uniform(-20.0, 0.5, 150) + 1j * rng.uniform(-3.0, 3.0, 150),
+        rng.uniform(-20.0, 0.5, 100) + 0j])
+    z = z[np.abs(z - np.minimum(np.round(z.real), 0.0)) > 0.05][:500].reshape(-1, 2)
+    got = ln_gamma(z)
+    assert got.shape == z.shape
+    ref = np.array([complex(mp.loggamma(mp.mpc(x.real, x.imag)))
+                    for x in z.ravel()]).reshape(z.shape)
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(z * np.log(z)))
+    assert err.max() < 1e-15
 
 
 # --------------------------------------------------- upper incomplete Gamma
@@ -548,6 +572,8 @@ def test_norm_K_positive():
 def test_norm_K_pole_and_args():
     with pytest.raises(PoleError):
         norm_K(1, 3, 0, 0.0)
+    with pytest.raises(PoleError):
+        norm_K(2, 3, np.arange(2), np.array([[0.7], [0.0]]))
     with pytest.raises(ValueError):
         norm_K(3, 3, 0, 1.0)
 
@@ -570,8 +596,8 @@ def test_norm_K_n3_half_angle_branches():
     # at n = 3 the parity factor reduces to coth/tanh of pi rho / 2
     rho = 1.1
     for l in (0, 1):
-        g_lo = specfun.abs_gamma_sq(0.5 * (1j * rho + l + 1.0))
-        g_hi = specfun.abs_gamma_sq(0.5 * (1j * rho + l + 2.0))
+        g_lo = np.exp(2.0 * ln_gamma(0.5 * (1j * rho + l + 1.0)).real)
+        g_hi = np.exp(2.0 * ln_gamma(0.5 * (1j * rho + l + 2.0)).real)
         sign = (-1.0) ** l
         # cos((n-1)pi/2) = -1 at n = 3
         branch = (math.cosh(math.pi * rho) + sign) / math.sinh(math.pi * rho)
@@ -626,6 +652,30 @@ def test_d_abs_positive_and_case_selector():
 def test_d_abs_pole():
     with pytest.raises(PoleError):
         d_abs(2, 0, 0, 0.0)
+    with pytest.raises(PoleError):
+        d_abs(3, 1, 0, np.array([0.4, 0.0, 2.0]))
+
+
+def test_gamma_products_broadcast_match_one_element_calls():
+    # norm_K over (l, rho), d_abs over rho and connection_gammas over
+    # parameter sets, each one array call, against their one-element calls
+    rho = np.array([0.05, 0.7, 1.3, 25.0, 400.0])
+    ls = np.arange(4)[:, None]
+    for alpha in (1, 2):
+        for n in (2, 3, 4):
+            K = norm_K(alpha, n, ls, rho)
+            assert K.shape == (4, rho.size)
+            one = [[norm_K(alpha, n, int(l), float(r)) for r in rho] for l in ls[:, 0]]
+            assert_allclose(K, one, rtol=1e-15, atol=0.0)
+    for n, j, k in ((2, 0, 0), (3, 0, 0), (3, 1, 0), (4, 1, 0)):
+        assert_allclose(d_abs(n, j, k, rho), [d_abs(n, j, k, float(r)) for r in rho],
+                        rtol=1e-15, atol=0.0)
+    sets = [_principal_params(n, l, float(r), alpha) for n in (2, 3)
+            for l in (0, 2) for r in rho for alpha in (1, 2)]
+    g1, g2 = specfun.connection_gammas(*(np.array(x) for x in zip(*sets)))
+    one = np.array([specfun.connection_gammas(*p) for p in sets])
+    assert_allclose(g1, one[:, 0], rtol=1e-15, atol=0.0)
+    assert_allclose(g2, one[:, 1], rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("rho", [300.0, 500.0])
