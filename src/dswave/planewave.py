@@ -197,13 +197,13 @@ def radial_table(n: int, alpha: int, rhos, tops, beta,
     K = specfun.norm_K(alpha, n, tops, rhos)
     f, lost = specfun._gauss_2f1(*_params_2f1(n, alpha, rhos, tops, mirror_params),
                                  np.tanh(ab) ** 2, one_minus_v=w)
-    env = np.exp((-0.5 * (n - 1) + 1j * rhos[:, :, None]) * log_cosh)
-    V = np.take(f * env, back.ravel(), axis=2)
+    f *= np.exp((-0.5 * (n - 1) + 1j * rhos[:, :, None]) * log_cosh)
+    # V owns its buffer, shape (n_rho, n_top) + beta.shape
+    V = np.take(f, back.reshape(beta.shape), axis=2)
     if alpha == 1:
-        V = 2.0 * np.tanh(beta.ravel()) * V
-    V = V / np.sqrt(K)[:, :, None]
-    return (V.reshape(rhos.shape[0], tops.shape[1], *beta.shape),
-            float(lost.max(initial=0.0)))
+        np.multiply(2.0 * np.tanh(beta), V, out=V)
+    V /= np.sqrt(K).reshape(K.shape + (1,) * beta.ndim)
+    return V, float(lost.max(initial=0.0))
 
 
 def radial_profile(wave: HyperWave, beta, mirror_params: bool = False):

@@ -16,6 +16,8 @@ connection_gammas; gauss_2f1_regularized runs the same series.  The
 kernel broadcasts over parameters: P sets (a, b, c) against V points,
 summed in blocks of 16 terms, each block one (P x 16) @ (16 x V) complex
 product of coefficients (a cumprod of the term ratio) and powers of v.
+Each element stops on its own last term, and the products shrink to the
+sets and points still summing.
 The same block adds sum |c_k v^k|, so each element knows the digits it
 lost to cancellation: a direct-series element over the 8-digit budget is
 recomputed by the connection formula, and a connection value over it
@@ -87,7 +89,7 @@ def ln_gamma(z):
     """Principal-branch log Gamma via the Lanczos approximation, broadcast over z.
 
     Within 1e-15 max(1, |z log z|) of mpmath.loggamma over Re z in [-20, 20] and
-    |Im z| <= 2000, 0.05 or more from the poles; a pole in z raises PoleError.
+    |Im z| <= 2000, up to 1e-3 of the poles; a pole in z raises PoleError.
     """
     z = np.asarray(z, dtype=complex)
     pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
@@ -108,11 +110,14 @@ def ln_gamma(z):
     out = np.asarray(_LOG_SQRT_2PI + (zm + 0.5) * np.log(t) - t + np.log(re + 1j * im))
     if np.any(refl):
         # log sin(pi z) = log(1 - e^{2u}) - u + sgn i pi/2 - log 2 with u = sgn i pi z;
-        # sgn = +-1 as Im z >= 0 or < 0 keeps the log off its cut: the principal branch
+        # sgn = +-1 as Im z >= 0 or < 0 keeps the log off its cut: the principal branch.
+        # e^{2u} = e^{2 sgn i pi delta} with delta = z - round(Re z) exact, so
+        # 1 - e^{2u} keeps its digits next to a pole, where the rounded pi z loses them
         zr = z[refl]
         sgn = np.where(zr.imag >= 0.0, 1.0, -1.0)
         u = sgn * (1j * math.pi * zr)
-        log_sin = (np.log(-np.expm1(2.0 * u)) - u
+        two_u = 2.0 * (sgn * (1j * math.pi * (zr - np.rint(zr.real))))
+        log_sin = (np.log(-np.expm1(two_u)) - u
                    + (sgn * (0.5j * math.pi) - math.log(2.0)))
         out[refl] = (math.log(math.pi) - log_sin) - out[refl]
     return out[()]
@@ -242,46 +247,61 @@ def _series_2f1_array(a, b, c, v: np.ndarray):
     ratio to |sum| is the cancellation the sum suffered.  Each block takes
     the coefficients c_k from a cumprod of the term ratio and the powers
     v^k as columns, so the block is one complex and one real matrix
-    product.  A set leaves the loop once the last term of every point is
-    within _SERIES_TOL of its sum (checked at block ends), so its values
-    do not depend on the other sets of the call.  A set whose coefficients
-    overflow (|c_k| above the float range, as at rho of about 800 on the
-    principal series) leaves the loop at that block: its points not yet
-    summed get infinite mass, over any digit budget.
+    product over the sets and points that still hold a live element.  An
+    element (set, point) stops at the first block end where its own last
+    term is within _SERIES_TOL of its sum, so its value and mass depend
+    only on its own terms, not on the other sets or points of the call
+    (up to the rounding of the matrix products, which follows their shape).
+    An element whose block mass is not finite leaves with infinite mass,
+    over any digit budget: so a set whose coefficients overflow (|c_k|
+    above the float range, as at rho of about 800 on the principal series)
+    leaves the loop at that block.
     """
     a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
     v = np.asarray(v, dtype=float)
     acc = np.ones((a.size, v.size), dtype=complex)
     mass = np.ones((a.size, v.size))
-    live = np.arange(a.size)
-    coef = np.ones(a.size, dtype=complex)       # c_k at the block start
-    done = np.zeros((a.size, v.size), dtype=bool)  # points whose sum is final
-    vk = np.ones(v.size)                        # v^k at the block start
+    # the working block: sets (rows) and points (cols) with a live element,
+    # their sums and masses, and which of their elements are still summing
+    rows, cols = np.arange(a.size), np.arange(v.size)
+    acc_w, mass_w = acc, mass
+    live = np.ones(acc.shape, dtype=bool)
+    coef = np.ones(a.size, dtype=complex)       # c_k at the block start, per row
+    vk = np.ones(v.size)                        # v^k at the block start, per col
     steps = np.arange(_SERIES_BLOCK)
-    vpow = v[None, :] ** (steps[:, None] + 1.0)  # v^1 .. v^16
+    vpow = v[None, :] ** (steps[:, None] + 1.0)  # v^1 .. v^16, per col
     for k0 in range(0, _MAX_TERMS, _SERIES_BLOCK):
         k = k0 + steps
-        ratio = ((a[live, None] + k) * (b[live, None] + k)
-                 / ((c[live, None] + k) * (k + 1.0)))
+        ratio = ((a[rows, None] + k) * (b[rows, None] + k)
+                 / ((c[rows, None] + k) * (k + 1.0)))
         pw = vk * vpow
         with np.errstate(over="ignore", invalid="ignore"):
             cs = coef[:, None] * np.cumprod(ratio, axis=1)
-            add, add_mass = cs @ pw, np.abs(cs) @ pw
-        ok = np.all(np.isfinite(add_mass), axis=1)
-        if not np.all(ok):
-            blown = live[~ok]
-            mass[blown] = np.where(done[~ok], mass[blown], np.inf)
-            live, done, cs, add, add_mass = (live[ok], done[ok], cs[ok],
-                                             add[ok], add_mass[ok])
-        acc[live] += add
-        mass[live] += add_mass
-        coef, vk = cs[:, -1], pw[-1]
-        done = (np.abs(coef)[:, None] * vk
-                <= _SERIES_TOL * np.maximum(np.abs(acc[live]), 1e-300))
-        fin = np.all(done, axis=1)
-        if np.all(fin):
+            bound = np.abs(cs) @ pw  # the block's mass
+            blown = live & ~np.isfinite(bound)
+            mass_w[blown] = np.inf
+            live &= ~blown
+            np.add(mass_w, bound, out=mass_w, where=live)
+            np.add(acc_w, cs @ pw, out=acc_w, where=live)
+            coef, vk = cs[:, -1], pw[-1]
+            # bound becomes _SERIES_TOL |sum| (one (P x V) buffer the less):
+            # an element stays live while its last term exceeds it
+            np.abs(acc_w, out=bound)
+            np.maximum(bound, 1e-300, out=bound)
+            bound *= _SERIES_TOL
+            live &= np.multiply.outer(np.abs(coef), vk) > bound
+        keep_r, keep_c = np.any(live, axis=1), np.any(live, axis=0)
+        if np.all(keep_r) and np.all(keep_c):
+            continue
+        if acc_w is not acc:
+            sub = np.ix_(rows, cols)
+            acc[sub], mass[sub] = acc_w, mass_w
+        if not np.any(keep_r):
             return acc, mass
-        live, coef, done = live[~fin], coef[~fin], done[~fin]
+        sub = np.ix_(keep_r, keep_c)
+        rows, cols, coef, vk, vpow = (rows[keep_r], cols[keep_c], coef[keep_r],
+                                      vk[keep_c], vpow[:, keep_c])
+        acc_w, mass_w, live = acc_w[sub], mass_w[sub], live[sub]
     raise AccuracyError(f"2F1 series did not converge in {_MAX_TERMS} terms")
 
 
@@ -308,12 +328,24 @@ def _connection_2f1(a, b, c, w):
     if np.any((np.abs(s - np.round(s.real)) < 1e-10) & (np.abs(s.imag) < 1e-10)):
         raise UnsupportedCaseError(
             f"connection formula degenerate: c-a-b = {s} has an integer entry")
+    # the Gamma ratios first: ln_gamma's (terms x sets) temporaries then
+    # meet no (P, V) series array
+    g1, g2 = connection_gammas(a, b, c)
     f1, m1 = _series_2f1_array(a, b, a + b + 1.0 - c, w)
     f2, m2 = _series_2f1_array(c - a, c - b, 1.0 + s, w)
-    g1, g2 = connection_gammas(a, b, c)
-    e1, e2 = g1[:, None], g2[:, None] * np.exp(s[:, None] * np.log(w))
-    out = e1 * f1 + e2 * f2
-    return out, _digits_lost(np.abs(e1) * m1 + np.abs(e2) * m2, out)
+    # out = g1 f1 + e2 f2 and its mass |g1| m1 + |e2| m2, built in place on
+    # the (P, V) series arrays, whose spent ones go before _digits_lost's
+    e2 = s[:, None] * np.log(w)
+    np.exp(e2, out=e2)
+    np.multiply(g2[:, None], e2, out=e2)
+    np.multiply(g1[:, None], f1, out=f1)
+    np.multiply(e2, f2, out=f2)
+    f1 += f2
+    m1 *= np.abs(g1)[:, None]
+    m2 *= np.abs(e2)
+    m1 += m2
+    del f2, m2, e2
+    return f1, _digits_lost(m1, f1)
 
 
 def gauss_2f1(a: complex, b: complex, c: complex, v: float) -> complex:
@@ -358,14 +390,20 @@ def _gauss_2f1(a, b, c, v, one_minus_v=None):
         raise PoleError(f"2F1 parameter c = {c[pole][0]} is a non-positive integer")
     vshape = v.shape
     v, w_all = v.ravel(), np.ravel(w_all)
-    out = np.empty((a.size, v.size), dtype=complex)
-    lost = np.empty(out.shape)
+    # each branch's (values, digits lost) over its points; the (P, V)
+    # results are allocated after both, so the kernel's temporaries and
+    # them do not coexist
     lo = v <= _CONNECTION_SWITCH
+    parts = []
     if np.any(lo):
         f, mass = _series_2f1_array(a, b, c, v[lo])
-        out[:, lo], lost[:, lo] = f, _digits_lost(mass, f)
-    if np.any(~lo):
-        out[:, ~lo], lost[:, ~lo] = _connection_2f1(a, b, c, w_all[~lo])
+        parts.append((lo, f, _digits_lost(mass, f)))
+    if not np.all(lo):
+        parts.append((~lo, *_connection_2f1(a, b, c, w_all[~lo])))
+    out = np.empty((a.size, v.size), dtype=complex)
+    lost = np.empty(out.shape)
+    for cols, f, loss in parts:
+        out[:, cols], lost[:, cols] = f, loss
     # direct-series elements over the budget, a non-finite loss included,
     # take the connection formula in one call over their sets and points
     over = lo & ~(lost <= _DIGIT_BUDGET)

@@ -96,11 +96,6 @@ class SphereGrid:
         return sphere_point(self.n, self.phis, self.phi)
 
 
-# rho nodes per radial_table call when a grid fills a mode table: bounds the
-# temporaries of the 2F1 kernel (a whole grid at once raises peak memory)
-_RHO_BLOCK = 8
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Node bundle for the hyperbolic transforms (sphere x beta x rho).
@@ -157,14 +152,11 @@ class QuadratureGrid:
         """V_{alpha,top}(beta_nodes; rho_nodes) for each distinct top label
         in increasing order, shape (n_rho, n_top, n_beta).
 
-        Filled in blocks of _RHO_BLOCK rho nodes on first use and cached in
-        mode_tables for the life of the grid."""
+        Filled on first use by one radial_table call over all rho nodes and
+        cached in mode_tables for the life of the grid."""
         table = self.mode_tables.get(alpha)
         if table is None:
-            r = self.rho_nodes
-            table = np.concatenate([self._radial(r[i:i + _RHO_BLOCK], alpha)
-                                    for i in range(0, r.size, _RHO_BLOCK)])
-            self.mode_tables[alpha] = table
+            table = self.mode_tables[alpha] = self._radial(self.rho_nodes, alpha)
         return table
 
     def radial_rows(self, rho: float, alpha: int) -> np.ndarray:
@@ -707,9 +699,17 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
 def _sheet_eigs(grid: ConeGrid, rho_nodes: np.ndarray, forward: bool,
                 method: str) -> dict:
     """sector -> intertwiner eigenvalues at every rho node, shape
-    (n_theta, n_rho): one call per sector."""
-    return {sec: _intertwiner_eigs(grid, rho_nodes, forward, sec, method)
-            for sec in (1, -1)}
+    (n_theta, n_rho).  method "direct" makes one call per sector.  The
+    "spectral" symbol depends on |j| only, so its table is built once:
+    sector -1 is that table, and sector +1 is phase (-1)^|j| times it."""
+    if method != "spectral":
+        return {sec: _intertwiner_eigs(grid, rho_nodes, forward, sec, method)
+                for sec in (1, -1)}
+    j = np.fft.fftfreq(grid.n_theta, d=1.0 / grid.n_theta).astype(int)
+    lam = intertwiner_symbol(grid, rho_nodes, forward, -1, j)
+    phase = _intertwiner_exponent_phase(grid, rho_nodes, forward)[1]
+    return {1: _rho_layout(rho_nodes, phase * (-1.0) ** np.abs(j)) * lam,
+            -1: lam}
 
 
 def _apply_sheets(eigs: dict, sheets: dict, tau_weight: str) -> dict:
@@ -735,7 +735,8 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
     tau_weight "unsigned" sums both t' = +-1 sheets with weight one (the
     convention the round trip and the parity identities confirm); "signed"
     weights the t' = -1 sheet by -1.  Each sheet's h values on all
-    directions go through one batched Mellin call.
+    directions fill one (n_theta, n_s) array, which goes through one
+    batched Mellin call.
     """
     grid = grid or ConeGrid(n=h.n, s_window=h.s_window)
     rho_nodes = np.asarray(rho_nodes, dtype=float)
@@ -744,8 +745,10 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
     varpi = {}
     for tprime in (1, -1):
         def sheet(s, tprime=tprime):
-            return np.stack([np.broadcast_to(h(s, tprime, d), s.shape)
-                             for d in dirs])
+            out = np.empty((len(dirs),) + s.shape, dtype=complex)
+            for row, d in zip(out, dirs):
+                row[...] = h(s, tprime, d)
+            return out
         varpi[tprime] = mellin_forward(sheet, grid.n, rho_nodes,
                                        grid.s_window, grid.n_s)
     return ConeSpectrum(grid, rho_nodes, _apply_sheets(eigs, varpi, tau_weight))

@@ -77,8 +77,7 @@ def test_ln_gamma_array_vs_mpmath():
     # the real axis and the negative real axis, where the principal branch
     # is the limit from above.  The error is the rounding of terms of size
     # |z log z|, so the bound is relative to max(1, |z log z|); within about
-    # 0.05 of a pole the rounding of pi z grows as |z| / distance, so the
-    # sample keeps out of those discs.
+    # 0.05 of a pole the next test takes over.
     rng = np.random.default_rng(5)
     z = np.concatenate([
         rng.uniform(-20.0, 20.0, 300) + 1j * rng.uniform(-2000.0, 2000.0, 300),
@@ -89,6 +88,22 @@ def test_ln_gamma_array_vs_mpmath():
     assert got.shape == z.shape
     ref = np.array([complex(mp.loggamma(mp.mpc(x.real, x.imag)))
                     for x in z.ravel()]).reshape(z.shape)
+    err = np.abs(got - ref) / np.maximum(1.0, np.abs(z * np.log(z)))
+    assert err.max() < 1e-15
+
+
+def test_ln_gamma_near_poles_vs_mpmath():
+    # 1e-3 to 0.05 from the poles -1 .. -19, on the real axis from both
+    # sides and off it: the reflection step takes e^{2 i pi z} from the
+    # exact distance to the nearest integer, so the bound of the wide strip
+    # holds up to the poles
+    ks = np.arange(1, 20)[:, None]
+    d = np.geomspace(1e-3, 0.05, 8)[None, :]
+    z = np.concatenate([(-ks + d * w).ravel()
+                        for w in (1.0, -1.0, np.exp(0.3j * math.pi),
+                                  np.exp(-0.7j * math.pi))]).astype(complex)
+    got = ln_gamma(z)
+    ref = np.array([complex(mp.loggamma(mp.mpc(x.real, x.imag))) for x in z])
     err = np.abs(got - ref) / np.maximum(1.0, np.abs(z * np.log(z)))
     assert err.max() < 1e-15
 
@@ -247,6 +262,40 @@ def test_2f1_array_parameter_sets_match_scalar_calls():
     grid = gauss_2f1_array(a[:3, None], b[:3, None], c[:3, None] * np.ones(2),
                            vs.reshape(7, 1))
     assert grid.shape == (3, 2, 7, 1)
+
+
+def test_series_elements_match_one_point_calls():
+    # each (set, point) element stops on its own last term, so a call with
+    # many sets and points gives every element the sum and mass of a call
+    # with its set and point alone.  Sets: criterion-9 parameters on the
+    # direct series and on the two series of the connection formula, and
+    # rho = 900, whose coefficients overflow: its points up to v = 1e-2
+    # converge first, and v = 0.5 gets infinite mass.  The block products are
+    # matrix products, whose rounding depends on their shapes, so finite
+    # sums and masses agree to rounding
+    rng = np.random.default_rng(17)
+    sets = []
+    for n in (2, 3):
+        for alpha in (1, 2):
+            for rho, l in zip(rng.uniform(0.9, 2.6, 3), rng.integers(0, 5, 3)):
+                a, b, c = _principal_params(n, int(l), float(rho), alpha)
+                sets += [(a, b, c), (a, b, a + b + 1.0 - c),
+                         (c - a, c - b, 1.0 + c - a - b)]
+    sets.append(_principal_params(2, 1, 900.0, 2))
+    a, b, c = (np.array(x, dtype=complex) for x in zip(*sets))
+    v = np.concatenate([[0.0, 1e-6, 5e-4, 1e-2, 0.5], rng.uniform(0.0, 0.5, 8)])
+    acc, mass = specfun._series_2f1_array(a, b, c, v)
+    assert np.all(np.isfinite(mass[-1, :4])) and np.isinf(mass[-1, 4])
+    for p in range(len(sets)):
+        for j in range(v.size):
+            one, one_mass = specfun._series_2f1_array(a[p], b[p], c[p],
+                                                      v[j:j + 1])
+            m = one_mass[0, 0]
+            if np.isinf(m):
+                assert np.isinf(mass[p, j])
+                continue
+            assert abs(mass[p, j] - m) <= 1e-15 * m
+            assert abs(acc[p, j] - one[0, 0]) <= 1e-15 * m
 
 
 def test_2f1_array_one_bad_parameter_set_raises():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,8 @@ from dswave import specfun, transform
 from dswave.errors import PoleError, UnsupportedCaseError
 from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper
 from dswave.planewave import (HyperWave, dalembert_horo_residual,
-                              principal_mass, psi_hyper, radial_profile)
+                              principal_mass, psi_hyper, radial_profile,
+                              radial_table)
 from dswave.specfun import HarmonicIndex, hypersph_Y
 from dswave.transform import (AbsoluteProfile, ConeFunction, ConeGrid,
                               ConeSpectrum, HyperCoeffs, QuadratureGrid,
@@ -421,7 +423,7 @@ def _top_index(n, l):
 
 @pytest.mark.parametrize("n,sizes", [(2, _GRID2), (3, _GRID3)])
 def test_mode_tables_match_radial_profile(n, sizes):
-    # the blocked table fill agrees with one radial_profile call per
+    # the table fill agrees with one radial_profile call per
     # (rho node, top label), relative to the row's largest value (a row
     # passes through zeros of V); off-node rows come from the same kernel
     grid = QuadratureGrid.build(n, rho_window=(0.9, 2.6), **sizes)
@@ -446,6 +448,35 @@ def test_mode_tables_match_radial_profile(n, sizes):
     # lose a few; the kernel raises beyond its 8-digit budget
     lost = grid.resolution_report()["radial_digits_lost"]
     assert 0.0 < lost <= 8.0
+
+
+def test_mode_table_fill_is_one_radial_table_call_per_alpha(monkeypatch):
+    calls = []
+
+    def counted(n, alpha, rhos, tops, beta, *args):
+        calls.append((alpha, np.size(rhos)))
+        return radial_table(n, alpha, rhos, tops, beta, *args)
+
+    monkeypatch.setattr(transform, "radial_table", counted)
+    grid = QuadratureGrid.build(3, rho_window=(0.9, 2.6), **_GRID3)
+    for alpha in (1, 2):
+        grid.mode_table(alpha)
+        grid.mode_table(alpha)
+    assert calls == [(1, grid.rho_nodes.size), (2, grid.rho_nodes.size)]
+
+
+def test_mode_table_fill_peak_memory():
+    # the 2F1 kernel's (parameter set x point) temporaries over a whole
+    # criterion-9 grid stay within 3 tables' bytes
+    grid = QuadratureGrid.build(2, rho_window=(0.9, 2.6), **_GRID2)
+    grid.harmonics
+    tracemalloc.start()
+    try:
+        table = grid.mode_table(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes
 
 
 def test_hyper_mode_tables_stay_separable():
@@ -691,6 +722,19 @@ def test_intertwiner_eigs_rho_array_matches_scalar_calls(n_theta, method):
                 assert one.shape == (n_theta,)
                 err = np.max(np.abs(batch[:, r] - one))
                 assert err <= 1e-14 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_spectral_sheet_eigs_match_per_sector_calls(forward):
+    # one |j| symbol table serves both sectors, bitwise, at the sizes of the
+    # benchmark's cone workload
+    grid = ConeGrid(n=2, n_theta=128, s_window=(1e-4, 1e4), n_s=200)
+    x, _ = roots_legendre(24)
+    rho = 1.6 * x + 1.9
+    eigs = transform._sheet_eigs(grid, rho, forward, "spectral")
+    for sector in (1, -1):
+        one = _intertwiner_eigs(grid, rho, forward, sector, "spectral")
+        assert np.array_equal(eigs[sector], one)
 
 
 def test_intertwiner_eigs_guards_with_rho_array():
