@@ -183,9 +183,9 @@ def transform_round_trips() -> list[Row]:
             hc.table[(2, 1, ())] = complex(val)
             hc.table[(1, 3, ())] = complex(0.5 * val)
         tables.append(hc)
-    F = fourier_hyper_inverse(tables, grid, plancherel=True)
+    F = fourier_hyper_inverse(tables, grid)
     chis = [fourier_hyper_forward(F, float(r), grid) for r in grid.rho_nodes]
-    F2 = fourier_hyper_inverse(chis, grid, plancherel=True)
+    F2 = fourier_hyper_inverse(chis, grid)
     meas = (grid.beta_weights * np.cosh(grid.beta_nodes))[:, None] \
         * grid.sphere.weights[None, :]
     hyper_err = math.sqrt(float(np.sum(np.abs(F2 - F) ** 2 * meas)

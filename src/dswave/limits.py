@@ -22,7 +22,6 @@ from .planewave import AmbientWave, principal_mass, psi_ambient
 
 __all__ = [
     "minkowski_covector",
-    "minkowski_pair",
     "phase_gradient",
     "phase_gradient_min",
     "DecayFit",
@@ -54,13 +53,6 @@ def minkowski_covector(xi, mu: float | None = None, tol: float = 1e-10) -> np.nd
         if abs(q + mu**2) > tol * max(mu**2, 1.0):
             raise ValueError(f"xibar.xibar = {q} is not -mu^2 = {-mu**2}")
     return xibar
-
-
-def minkowski_pair(y, xibar) -> float:
-    """Flat pairing y.xibar = -y_0 xibar_0 + sum_i y_i xibar_i."""
-    y = np.asarray(y, dtype=float)
-    xibar = np.asarray(xibar, dtype=float)
-    return float(-y[0] * xibar[0] + y[1:] @ xibar[1:])
 
 
 # --------------------------------------------------------- stationary phase
@@ -188,7 +180,7 @@ def flat_limit_deviation(n: int, mu: float, xi, y, R_values) -> dict:
     if abs(xi[-1] - mu) > 1e-12 * max(mu, 1.0):
         raise ValueError("flat_limit_deviation expects the on-shell slice xi_n = mu")
     xibar = minkowski_covector(xi, mu=mu)
-    target = np.exp(1j * minkowski_pair(y, xibar))
+    target = np.exp(1j * minkowski_dot(y, xibar))
     devs = []
     for R in R_values:
         wave = _ambient_wave(n, float(R), mu, xi)
@@ -232,8 +224,8 @@ def off_shell_damping(n: int, mu: float, xi_spatial, y, R_values,
             "averaged": np.asarray(out)}
 
 
-def casimir_action_limit(n: int, mu: float, xi, y, R_values, h_values=(2e-3, 1e-3),
-                         combined: bool = True) -> dict:
+def casimir_action_limit(n: int, mu: float, xi, y, R_values,
+                         h_values=(2e-3, 1e-3)) -> dict:
     """Difference-operator check of the contracted Casimir action.
 
     In the horospheric chart (a = iR(d_tau + sum (y_i/R) d_{y_i}),
@@ -262,7 +254,7 @@ def casimir_action_limit(n: int, mu: float, xi, y, R_values, h_values=(2e-3, 1e-
             a2 = -(v @ H @ v + (v[1:] / R) @ g[1:])
             r_a = abs(a2 - xi[0] ** 2 * val) / abs(val)
             row = {"R": R, "h": float(h), "r_n": float(r_n), "r_a": float(r_a)}
-            if combined and abs(xi[-1] - mu) < 1e-12 * max(mu, 1.0):
+            if abs(xi[-1] - mu) < 1e-12 * max(mu, 1.0):
                 row["r_c"] = float(abs((nn.sum() - a2) + mu**2 * val) / abs(val))
             rows.append(row)
 
@@ -290,7 +282,7 @@ def gamma_phase_split(n: int, mu: float, xi, y, R: float) -> tuple[float, float]
     dot = minkowski_dot(x, xi)
     phi = math.log(abs(dot / (mu * R))) / s
     xibar = minkowski_covector(xi)
-    ydot = minkowski_pair(y, xibar)
+    ydot = minkowski_dot(y, xibar)
     gamma = mu * R * math.log1p(ydot / (mu * R)) / s
     return mu * R * phi - gamma, gamma
 

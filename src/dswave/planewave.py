@@ -14,8 +14,9 @@ hypergeometric factors with parameters
     odd:   a = (-i rho + l + (n+1)/2)/2,  b = (-i rho - l - (n-5)/2)/2,  c = 3/2
 (l the top chain label).  The sign of i rho inside a, b is opposite to the
 prefactor's: that pairing is the one that solves the radial equation, as the
-residual engines below verify; `mirror_params=True` evaluates the other
-pairing for comparison (see ode_variant_report).  radial_table holds the
+residual engines below verify.  The mirrored pairing (+i rho inside a, b)
+is (cosh beta)^{2 i rho} conj(V), since K is real; ode_variant_report
+builds it that way for comparison.  radial_table holds the
 one copy of the radial factor: one specfun 2F1 call over every (rho, top
 label) pair it is asked for; radial_profile is its one-point call.  The
 large-beta constants come from specfun.connection_gammas.
@@ -149,17 +150,19 @@ class HyperWave:
         return self.idx.n
 
 
-def _params_2f1(n: int, alpha: int, rho, l, mirror_params: bool = False):
+def _params_2f1(n: int, alpha: int, rho, l):
     """(a, b, c) of the radial 2F1, broadcast over arrays of rho and l."""
-    ir = 1j * np.asarray(rho) * (1.0 if mirror_params else -1.0)
+    # -i rho, in the operation order that fixes the signs of zero parts
+    ir = 1j * np.asarray(rho) * -1.0
     if alpha == 2:
         return (ir + l + 0.5 * (n - 1)) / 2, (ir - l - 0.5 * (n - 3)) / 2, 0.5
     return (ir + l + 0.5 * (n + 1)) / 2, (ir - l - 0.5 * (n - 5)) / 2, 1.5
 
 
-def hyper_2f1_params(wave: HyperWave, mirror_params: bool = False):
-    """(a, b, c) of the wave's hypergeometric factor."""
-    a, b, c = _params_2f1(wave.n, wave.alpha, wave.rho, wave.idx.top, mirror_params)
+def hyper_2f1_params(wave: HyperWave):
+    """(a, b, c) of the wave's hypergeometric factor; the mirrored pairing
+    has the conjugate a and b."""
+    a, b, c = _params_2f1(wave.n, wave.alpha, wave.rho, wave.idx.top)
     return complex(a), complex(b), c
 
 
@@ -168,8 +171,7 @@ def hyper_2f1_params(wave: HyperWave, mirror_params: bool = False):
 _SECH2_MIN = 2.0 ** -1042
 
 
-def radial_table(n: int, alpha: int, rhos, tops, beta,
-                 mirror_params: bool = False):
+def radial_table(n: int, alpha: int, rhos, tops, beta):
     """Radial factors V_{alpha,l}(beta; rho), K-normalization included, for
     every rho in rhos and top label l in tops, from one 2F1 call over the
     (rho, l) parameter sets.
@@ -177,7 +179,8 @@ def radial_table(n: int, alpha: int, rhos, tops, beta,
     Returns (V, digits_lost): V has shape (n_rho, n_top) + beta.shape, and
     digits_lost is the worst cancellation of the 2F1 values, at most 8
     (specfun.gauss_2f1_array raises AccuracyError beyond).  Raises
-    AccuracyError where sech^2(beta) < _SECH2_MIN (|beta| > 361.8).
+    AccuracyError where sech^2(beta) < _SECH2_MIN (|beta| > 361.8).  The
+    mirrored pairing (+i rho inside a, b) is cosh(beta)**(2j*rho) * conj(V).
     """
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 (odd) or 2 (even)")
@@ -195,7 +198,7 @@ def radial_table(n: int, alpha: int, rhos, tops, beta,
             f"|beta| = {np.max(ab):g} too large: sech^2 underflows")
     log_cosh = ab + np.log1p(e) - np.log(2.0)
     K = specfun.norm_K(alpha, n, tops, rhos)
-    f, lost = specfun._gauss_2f1(*_params_2f1(n, alpha, rhos, tops, mirror_params),
+    f, lost = specfun._gauss_2f1(*_params_2f1(n, alpha, rhos, tops),
                                  np.tanh(ab) ** 2, one_minus_v=w)
     f *= np.exp((-0.5 * (n - 1) + 1j * rhos[:, :, None]) * log_cosh)
     # V owns its buffer, shape (n_rho, n_top) + beta.shape
@@ -206,22 +209,22 @@ def radial_table(n: int, alpha: int, rhos, tops, beta,
     return V, float(lost.max(initial=0.0))
 
 
-def radial_profile(wave: HyperWave, beta, mirror_params: bool = False):
+def radial_profile(wave: HyperWave, beta):
     """Radial factor V(beta), including the K-normalization prefactor: the
     one-point call of radial_table.  Its 2F1 factor loses at most 8 digits
     to cancellation (the budget of specfun.gauss_2f1_array, which raises
     AccuracyError beyond, from rho of about 100 at small beta); AccuracyError also
-    where sech^2(beta) < _SECH2_MIN (|beta| > 361.8)."""
-    V, _ = radial_table(wave.n, wave.alpha, [wave.rho], [wave.idx.top], beta,
-                        mirror_params)
+    where sech^2(beta) < _SECH2_MIN (|beta| > 361.8).  The mirrored pairing
+    is np.cosh(beta)**(2j*rho) * np.conj(radial_profile(wave, beta))."""
+    V, _ = radial_table(wave.n, wave.alpha, [wave.rho], [wave.idx.top], beta)
     return V[0, 0][()]
 
 
-def psi_hyper(wave: HyperWave, chart: HyperChart,
-              mirror_params: bool = False) -> complex:
-    """Hyperbolic plane wave at a chart point."""
+def psi_hyper(wave: HyperWave, chart: HyperChart) -> complex:
+    """Hyperbolic plane wave at a chart point: radial_profile times the
+    harmonic (the mirrored pairing takes the mirrored radial_profile)."""
     Y = specfun.hypersph_Y(wave.idx, chart.phis, chart.phi)
-    return complex(radial_profile(wave, chart.beta, mirror_params) * Y)
+    return complex(radial_profile(wave, chart.beta) * Y)
 
 
 def connection_constants(wave: HyperWave) -> tuple[complex, complex]:
@@ -263,28 +266,30 @@ def parity(wave: HyperWave) -> str:
     return "even" if (wave.alpha + wave.idx.top) % 2 == 0 else "odd"
 
 
+def _radial_residual(profile, n: int, rho: float, L: float, beta_grid,
+                     h: float, richardson: bool) -> float:
+    """The residual of radial_ode_residual for V = profile(beta array)."""
+    grid = np.atleast_1d(np.asarray(beta_grid, dtype=float))
+    V, dV, d2V = central_differences(lambda q: profile(grid + q[0]),
+                                     [0.0], h, richardson)
+    r = (d2V[:, 0, 0] + (n - 1) * np.tanh(grid) * dV[:, 0]
+         + (rho**2 + 0.25 * (n - 1) ** 2 + L / np.cosh(grid) ** 2) * V)
+    return float(np.max(np.abs(r)) / np.max(np.abs(V)))
+
+
 def radial_ode_residual(wave: HyperWave, beta_grid, h: float = 1e-3,
-                        richardson: bool = False, ell: str = "top",
-                        mirror_params: bool = False) -> float:
+                        richardson: bool = False) -> float:
     """Max relative residual of the separated radial equation on a grid.
 
     The equation tested is
     V'' + (n-1) tanh(b) V' + [rho^2 + (n-1)^2/4 + L/cosh^2(b)] V = 0
-    with L = l(l + n - 2); ell = "top" uses the highest chain label (the
-    value the waves satisfy), ell = "l1" the lowest one.  The derivatives
+    with L = l(l + n - 2) for the top chain label l.  The derivatives
     shift the whole grid at once: one radial_profile call per stencil point.
+    ode_variant_report tests the mirrored pairing and the lowest label.
     """
-    n, rho = wave.n, wave.rho
-    chain = (abs(wave.idx.m),) + wave.idx.ls
-    l = wave.idx.top if ell == "top" else (chain[1] if len(chain) > 1 else chain[0])
-    L = l * (l + n - 2)
-    grid = np.atleast_1d(np.asarray(beta_grid, dtype=float))
-    V, dV, d2V = central_differences(
-        lambda q: radial_profile(wave, grid + q[0], mirror_params=mirror_params),
-        [0.0], h, richardson)
-    r = (d2V[:, 0, 0] + (n - 1) * np.tanh(grid) * dV[:, 0]
-         + (rho**2 + 0.25 * (n - 1) ** 2 + L / np.cosh(grid) ** 2) * V)
-    return float(np.max(np.abs(r)) / np.max(np.abs(V)))
+    n, l = wave.n, wave.idx.top
+    return _radial_residual(lambda b: radial_profile(wave, b), n, wave.rho,
+                            l * (l + n - 2), beta_grid, h, richardson)
 
 
 def dalembert_residual(wave: HyperWave, chart: HyperChart, h: float = 1e-3,
@@ -344,17 +349,22 @@ def ode_variant_report(n: int = 4, rho: float = 0.8,
     """Residuals of both parameter pairings against both ODE variants.
 
     Keys are '<params>/<ell>' with params in {solution, mirror} and ell in
-    {top, l1}.  At n >= 4 with l_1 != l_{n-2} only 'solution/top' is small,
-    which pins down both conventions at once.
+    {top, l1}, the chain label in the potential.  The mirrored pairing is
+    (cosh beta)^{2 i rho} conj(V).  At n >= 4 with l_1 != l_{n-2} only
+    'solution/top' is small, which pins down both conventions at once.
     """
     if beta_grid is None:
         beta_grid = np.linspace(0.35, 1.8, 7)
+    chain = (abs(m),) + tuple(ls)
+    labels = {"top": chain[-1], "l1": chain[1] if len(chain) > 1 else chain[0]}
     report = {}
     for alpha in (1, 2):
         wave = HyperWave(alpha, rho, HarmonicIndex(n, m, ls))
-        for label, mirrored in (("solution", False), ("mirror", True)):
-            for ell in ("top", "l1"):
-                r = radial_ode_residual(wave, beta_grid, h=h, ell=ell,
-                                        mirror_params=mirrored)
-                report[f"alpha{alpha}/{label}/{ell}"] = float(r)
+        profiles = {"solution": lambda b: radial_profile(wave, b),
+                    "mirror": lambda b: (np.cosh(b) ** (2j * rho)
+                                         * np.conj(radial_profile(wave, b)))}
+        for label, profile in profiles.items():
+            for ell, l in labels.items():
+                report[f"alpha{alpha}/{label}/{ell}"] = _radial_residual(
+                    profile, n, rho, l * (l + n - 2), beta_grid, h, False)
     return report

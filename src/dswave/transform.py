@@ -6,9 +6,8 @@ Three transforms live here:
 * the hyperbolic-chart pair: mode coefficients chi against the plane waves
   of the planewave module, with the measure cosh^{n-1}(beta) dbeta dOmega
   (unit radius).  The inverse rho-integral carries the spectral density
-  rho/2 by default: the normalized modes have continuum weight 2/rho, so
-  the weighted measure is what makes forward/inverse an exact pair (see
-  fourier_hyper_inverse for the literal unweighted variant);
+  rho/2: the normalized modes have continuum weight 2/rho, so the
+  weighted measure is what makes forward/inverse an exact pair;
 * the cone pair: Mellin transform along the generators tensored with the
   angular intertwiner kernel |a|^{-(n-1)/2 -+ i rho} and its Theta-phase
   terms (n = 2 desk scale).  On a uniform circle grid the intertwiner is
@@ -254,8 +253,9 @@ def _orthonormal_frame(u0: np.ndarray) -> np.ndarray:
 class WavepacketSpec:
     """Profile + principal mass + cap quadrature resolution.
 
-    d_sector picks the (j, k) parity sector whose |d| value normalizes the
-    packet (the sectors differ only for odd n, and only by a constant).
+    The packet is normalized by |d(mu')|^2 of the (j, k) = (0, 0) parity
+    sector (the sectors differ only for odd n); another sector's packet is
+    this one times (d_abs(n, j, k, mu') / d_abs(n, 0, 0, mu'))^2.
     """
 
     profile: AbsoluteProfile
@@ -263,7 +263,6 @@ class WavepacketSpec:
     n_theta: int = 20
     n_sub_polar: int = 12
     n_sub_azimuth: int = 24
-    d_sector: tuple[int, int] = (0, 0)
 
     def cap_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """(covectors xi = (1, u) on the cap, weights incl. the cone 1/2)."""
@@ -314,8 +313,7 @@ def wavepacket_ambient(spec: WavepacketSpec, x, full_output: bool = False):
     mass = spec.mass
     xi, w = spec.cap_nodes()
     wf = w * spec.profile.value(xi[:, 1:])
-    d2 = specfun.d_abs(mass.cfg.n, spec.d_sector[0], spec.d_sector[1],
-                       mass.mu_prime) ** 2
+    d2 = specfun.d_abs(mass.cfg.n, 0, 0, mass.mu_prime) ** 2
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
@@ -340,11 +338,10 @@ def wavepacket_ambient(spec: WavepacketSpec, x, full_output: bool = False):
 
 @dataclass
 class HyperCoeffs:
-    """Mode table chi[(alpha, m, ls)] at fixed rho, plus a tail indicator."""
+    """Mode table chi[(alpha, m, ls)] at fixed rho."""
 
     rho: float
     table: dict[tuple[int, int, tuple[int, ...]], complex] = field(default_factory=dict)
-    tail_bound: float = 0.0
 
     def __getitem__(self, key):
         return self.table.get(key, 0.0 + 0.0j)
@@ -390,9 +387,7 @@ def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid,
     """Coefficients chi = integral of conj(Psi) f over the chart window.
 
     f is either a broadcastable callable f(beta, phis, phi) or an already
-    evaluated (n_beta, n_sphere) array on the grid.  Truncation and window
-    errors show up as the returned tail indicator (smallest to largest
-    retained |chi|).
+    evaluated (n_beta, n_sphere) array on the grid.
     """
     n = grid.sphere.n
     F = f if isinstance(f, np.ndarray) else eval_on_grid(f, grid)
@@ -410,27 +405,25 @@ def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid,
     keys = [(a, i.m, i.ls) for a in alphas for i in idxs]
     for key, v in zip(keys, vals):
         out.table[key] = complex(v)
-    mags = np.abs(vals)
-    out.tail_bound = float(mags.min() / mags.max()) if mags.max() > 0 else 0.0
     return out
 
 
-def fourier_hyper_inverse(coeff_field, grid: QuadratureGrid,
-                          plancherel: bool = True) -> np.ndarray:
+def fourier_hyper_inverse(coeff_field, grid: QuadratureGrid) -> np.ndarray:
     """Field on the product grid from a rho-indexed coefficient field.
 
     coeff_field maps rho -> HyperCoeffs (a callable, or a sequence matching
-    grid.rho_nodes).  plancherel=True weights the rho-measure with the
-    spectral density rho/2 measured for the normalized modes, making the
-    pair forward -> inverse the identity on band-limited fields; False is
-    the literal unweighted integral (composition = multiplication by 2/rho).
+    grid.rho_nodes).  The rho-measure carries the spectral density rho/2
+    measured for the normalized modes, which makes forward -> inverse the
+    identity on band-limited fields.  The literal unweighted integral is
+    this inverse applied to the coefficients (2/rho) chi; it composes with
+    the forward to multiplication by 2/rho.
     """
     idxs, Y, top_row = grid.harmonics
     tables = (list(coeff_field) if isinstance(coeff_field, (list, tuple))
               else [coeff_field(r) for r in grid.rho_nodes])
     tables = [c if c is not None else HyperCoeffs(rho=float(r))
               for r, c in zip(grid.rho_nodes, tables)]
-    weight = grid.rho_weights * (0.5 * grid.rho_nodes if plancherel else 1.0)
+    weight = grid.rho_weights * (0.5 * grid.rho_nodes)
     # (n_beta, n_index): per alpha, one product of the radial table, with
     # (rho node, top label) as the contracted axis, against chi weighted and
     # spread onto each index's top label; then one product with the
@@ -602,7 +595,7 @@ def intertwiner_symbol(grid: ConeGrid, rho, forward: bool,
 
 
 def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
-                      sector: int, method: str = "direct") -> np.ndarray:
+                      sector: int, method: str = "spectral") -> np.ndarray:
     """Eigenvalues of the angular intertwiner on the circle, in
     np.fft.fftfreq order: the operator is g -> ifft(eigs * fft(g)).
 
@@ -612,8 +605,8 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     sector = t' tau' (+1 or -1) fixes the sign of a = -sector + cos(dtheta).
     On the uniform grid the kernel matrix is circulant,
     [i_out, j_in] = row[(j - i) mod n_theta], so its eigenvalues are
-    n_theta * ifft(row).  method "spectral" returns the exact symbol.
-    method "direct" is the node-exclusion quadrature of the row: the
+    n_theta * ifft(row).  method "spectral" (the default) returns the exact
+    symbol.  method "direct" is the node-exclusion quadrature of the row: the
     kernel's isolated zero (dtheta = 0 for sector +1, pi for sector -1) is
     handled by an analytic pole window where the smooth factor is fitted
     from nearby columns and the |u|^{2E+k} moments integrated in closed
@@ -712,31 +705,30 @@ def _sheet_eigs(grid: ConeGrid, rho_nodes: np.ndarray, forward: bool,
             -1: lam}
 
 
-def _apply_sheets(eigs: dict, sheets: dict, tau_weight: str) -> dict:
-    """out[b] = sum over a of sgn(a) A_{a b} sheets[a], columnwise in rho,
-    with A_{a b} the intertwiner of sector a b: one fft per input sheet
-    along theta, one ifft per output sheet."""
-    if tau_weight not in ("unsigned", "signed"):
-        raise ValueError(f"tau_weight must be 'unsigned' or 'signed', got {tau_weight!r}")
-    spec = {a: (a if tau_weight == "signed" else 1.0)
-            * np.fft.fft(sheets[a], axis=0) for a in (1, -1)}
+def _apply_sheets(eigs: dict, sheets: dict) -> dict:
+    """out[b] = sum over a of A_{a b} sheets[a], columnwise in rho, with
+    A_{a b} the intertwiner of sector a b: both sheets a = +-1 enter with
+    weight one (the unsigned sum).  One fft per input sheet along theta,
+    one ifft per output sheet."""
+    spec = {a: np.fft.fft(sheets[a], axis=0) for a in (1, -1)}
     return {b: np.fft.ifft(eigs[b] * spec[1] + eigs[-b] * spec[-1], axis=0)
             for b in (1, -1)}
 
 
 def cone_fourier_forward(h: ConeFunction, rho_nodes,
                          grid: ConeGrid | None = None,
-                         tau_weight: str = "unsigned",
-                         method: str = "direct") -> ConeSpectrum:
+                         method: str = "spectral") -> ConeSpectrum:
     """Cone Fourier transform psi(tau', chi', rho) on the grid.
 
     Mellin transform along the generators (exponent (n-1)/2 - i rho)
     followed by the angular intertwiner with the forward Theta-phase.
-    tau_weight "unsigned" sums both t' = +-1 sheets with weight one (the
-    convention the round trip and the parity identities confirm); "signed"
-    weights the t' = -1 sheet by -1.  Each sheet's h values on all
-    directions fill one (n_theta, n_s) array, which goes through one
-    batched Mellin call.
+    Both t' = +-1 sheets enter the sum with weight one, the convention the
+    round trip and the parity identities confirm.  The signed reading,
+    which weights the t' = -1 sheet by -1, is this transform of t' h.
+    Each sheet's h values on all directions fill one (n_theta, n_s) array,
+    which goes through one batched Mellin call.  method "spectral" applies
+    the exact intertwiner symbol, "direct" its independent node-exclusion
+    quadrature (see _intertwiner_eigs).
     """
     grid = grid or ConeGrid(n=h.n, s_window=h.s_window)
     rho_nodes = np.asarray(rho_nodes, dtype=float)
@@ -751,7 +743,7 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
             return out
         varpi[tprime] = mellin_forward(sheet, grid.n, rho_nodes,
                                        grid.s_window, grid.n_s)
-    return ConeSpectrum(grid, rho_nodes, _apply_sheets(eigs, varpi, tau_weight))
+    return ConeSpectrum(grid, rho_nodes, _apply_sheets(eigs, varpi))
 
 
 def _d_abs_sq_signed(n: int, j: int, k: int, rho):
@@ -768,23 +760,24 @@ def _d_abs_sq_signed(n: int, j: int, k: int, rho):
 
 
 def cone_fourier_inverse(psi: ConeSpectrum, rho_weights,
-                         tau_weight: str = "unsigned",
-                         d_sector: tuple[int, int] = (0, 0),
-                         method: str = "direct") -> dict:
+                         method: str = "spectral") -> dict:
     """Inverse cone transform on the grid: h(s_i, t', theta_j).
 
     (1/2 pi) sum over the rho nodes (with the supplied weights) of |d|^2
     (signed-rho continuation) times the inverse-phase angular kernel times
-    s^{-(n-1)/2 + i rho}.  The rho grid may cover both half lines or a
-    band on one of them.  Returns tauprime -> (n_s, n_theta): per sheet,
+    s^{-(n-1)/2 + i rho}.  Both tau' = +-1 sheets enter with weight one;
+    the signed reading is this inverse of the spectrum tau' psi(tau', .).
+    At n = 2 |d| does not depend on the (j, k) sector.  The rho grid may
+    cover both half lines or a band on one of them.  method is as in
+    cone_fourier_forward.  Returns tauprime -> (n_s, n_theta): per sheet,
     one (n_s x n_rho) @ (n_rho x n_theta) product.
     """
     grid = psi.grid
     rho_nodes = psi.rho_nodes
     rho_weights = np.asarray(rho_weights, dtype=float)
     eigs = _sheet_eigs(grid, rho_nodes, False, method)
-    acc = _apply_sheets(eigs, psi.values, tau_weight)
-    d2 = _d_abs_sq_signed(grid.n, d_sector[0], d_sector[1], rho_nodes)
+    acc = _apply_sheets(eigs, psi.values)
+    d2 = _d_abs_sq_signed(grid.n, 0, 0, rho_nodes)
     # (n_s, n_rho): s^{-(n-1)/2 + i rho} w |d|^2 / 2 pi
     radial = (grid.s_nodes[:, None] ** (-0.5 * (grid.n - 1) + 1j * rho_nodes)
               * (rho_weights * d2 / (2.0 * math.pi)))

@@ -33,8 +33,9 @@ def _src_env():
 
 
 def test_import_does_not_load_scipy():
-    # scipy loads only on first use of a Bessel function of integer order
-    # or of the matrix exponential, not at import
+    # scipy loads only on first use of a Bessel function of order other
+    # than +-1/2 (integer and half-integer orders) or of the matrix
+    # exponential, not at import
     code = ("import sys, dswave, dswave.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -44,9 +45,9 @@ def test_import_does_not_load_scipy():
 
 
 # every subcommand and suite except appendix-d and verify appendix (Bessel
-# J of integer order) and verify algebra (matrix exponential), with the
-# environment overrides of each run; wavepacket n = 5 builds a Gauss-Jacobi
-# rule with a = 1/2 on its sub-sphere
+# J of integer and half-integer order, 3/2 at n = 3) and verify algebra
+# (matrix exponential), with the environment overrides of each run;
+# wavepacket n = 5 builds a Gauss-Jacobi rule with a = 1/2 on its sub-sphere
 _NO_SCIPY_RUNS = [
     (["planewave"], {}),
     (["planewave"], {"DSWAVE_MODE": "ambient"}),
@@ -201,6 +202,28 @@ def test_wavepacket_deterministic_across_threads(tmp_path):
         assert r.returncode == 0
         outs.append((out / "wavepacket.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_wavepacket_svg_plot(tmp_path):
+    # --svg adds a decay plot with one point per row of nonzero |f| and
+    # leaves the CSV as it is
+    import xml.etree.ElementTree as ET
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 2\nmu = 1.5\npath_points = 24\npath_s_min = 2.0\n"
+                   "path_s_max = 40.0\ncap_theta_nodes = 8\nwindows = 2\n")
+    for sub, extra in (("plain", []), ("svg", ["--svg"])):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / sub)]
+                    + extra + ["wavepacket"]) == 0
+    csv = (tmp_path / "svg" / "wavepacket.csv").read_bytes()
+    assert csv == (tmp_path / "plain" / "wavepacket.csv").read_bytes()
+    assert not (tmp_path / "plain" / "wavepacket_decay.svg").exists()
+    lines = [l for l in csv.decode().splitlines() if not l.startswith("#")]
+    rows_nonzero = sum(float(l.split(",")[3]) > 0 for l in lines[1:])
+    root = ET.parse(tmp_path / "svg" / "wavepacket_decay.svg").getroot()
+    lines_drawn = root.findall("{http://www.w3.org/2000/svg}polyline")
+    assert len(lines_drawn) == 1
+    assert len(lines_drawn[0].get("points").split()) == rows_nonzero > 0
 
 
 def _csv_values(path):

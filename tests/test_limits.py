@@ -7,12 +7,13 @@ from numpy.testing import assert_allclose
 
 from dswave import limits, specfun
 from dswave.errors import AccuracyError, OnSingularSurfaceError, PoleError
-from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper, origin
+from dswave.geometry import (HyperChart, SpacetimeConfig, from_hyper,
+                             minkowski_dot, origin)
 from dswave.limits import (appendix_d_oracle, bessel_pair_integral,
                            casimir_action_limit, decay_fit,
                            flat_limit_deviation, gamma_gradient_shell,
                            gamma_phase_split, minkowski_covector,
-                           minkowski_pair, off_shell_damping, phase_gradient,
+                           off_shell_damping, phase_gradient,
                            phase_gradient_min, spectral_smearing_contrast)
 
 mp.mp.dps = 25
@@ -38,7 +39,8 @@ def test_minkowski_covector_off_shell_raises():
 
 
 def test_minkowski_pair():
-    assert_allclose(minkowski_pair([2.0, 3.0], [1.5, 0.5]), -3.0 + 1.5)
+    # the flat pairing y.xibar of the limits is the ambient bilinear form
+    assert_allclose(minkowski_dot([2.0, 3.0], [1.5, 0.5]), -3.0 + 1.5)
 
 
 # --------------------------------------------------------- stationary phase

@@ -166,10 +166,27 @@ def test_psi_hyper_beta_zero_values():
 def test_hyper_params_conjugation_switch():
     w = HyperWave(2, 0.9, HarmonicIndex(3, 0, (1,)))
     a, b, c = hyper_2f1_params(w)
-    ap, bp, cp = hyper_2f1_params(w, mirror_params=True)
-    assert a == np.conj(ap) and b == np.conj(bp) and c == cp
     # c - a - b = + i rho for the solution family
     assert_allclose(c - a - b, 1j * 0.9, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_mirrored_pairing_is_conjugate_profile(alpha):
+    # the mirrored pairing, 2F1 at the conjugate (a, b) under the same
+    # (cosh beta)^{-(n-1)/2 + i rho} K^{-1/2} prefactor, equals
+    # (cosh beta)^{2 i rho} conj(V), as ode_variant_report builds it
+    w = HyperWave(alpha, 0.8, HarmonicIndex(4, 0, (0, 2)))
+    a, b, c = hyper_2f1_params(w)
+    betas = np.array([0.35, 0.9, 1.8])
+    built = np.cosh(betas) ** (2j * w.rho) * np.conj(radial_profile(w, betas))
+    for beta, got in zip(betas, built):
+        with mp.workdps(30):
+            f = mp.hyp2f1(np.conj(a), np.conj(b), c, mp.tanh(beta) ** 2)
+            ref = (f * mp.cosh(beta) ** mp.mpc(-1.5, w.rho)
+                   / mp.sqrt(norm_K(alpha, 4, 2, w.rho)))
+            if alpha == 1:
+                ref *= 2 * mp.tanh(beta)
+        assert_allclose(got, complex(ref), rtol=1e-13)
 
 
 @pytest.mark.parametrize("n,rho,ls,m,alpha", [

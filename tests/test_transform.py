@@ -258,15 +258,16 @@ def test_forward_parity_filter(hyper_grid):
 
 
 def test_inverse_single_mode_delta(hyper_grid):
-    # a single (rho_r, mode) coefficient reproduces that plane wave times
-    # its quadrature weight
+    # a single (rho_r, mode) coefficient reproduces, under the literal
+    # unweighted inverse, that plane wave times its quadrature weight; the
+    # literal inverse of chi is the weighted inverse of (2/rho) chi
     r_idx = 30
     rho_r = float(hyper_grid.rho_nodes[r_idx])
     tables = [None] * hyper_grid.rho_nodes.size
     hc = HyperCoeffs(rho=rho_r)
-    hc.table[(1, 0, ())] = 1.0 + 0.0j
+    hc.table[(1, 0, ())] = complex(2.0 / rho_r)
     tables[r_idx] = hc
-    F = fourier_hyper_inverse(tables, hyper_grid, plancherel=False)
+    F = fourier_hyper_inverse(tables, hyper_grid)
     wave = HyperWave(1, rho_r, HarmonicIndex(2, 0, ()))
     expect = hyper_grid.rho_weights[r_idx] * np.outer(
         radial_profile(wave, hyper_grid.beta_nodes),
@@ -297,10 +298,10 @@ def test_hyper_round_trip_band_limited(hyper_grid):
         if val:
             hc.table[mode] = complex(val)
         tables.append(hc)
-    F = fourier_hyper_inverse(tables, hyper_grid, plancherel=True)
+    F = fourier_hyper_inverse(tables, hyper_grid)
     chis = [fourier_hyper_forward(F, float(r), hyper_grid)
             for r in hyper_grid.rho_nodes]
-    F2 = fourier_hyper_inverse(chis, hyper_grid, plancherel=True)
+    F2 = fourier_hyper_inverse(chis, hyper_grid)
     meas = (hyper_grid.beta_weights
             * np.cosh(hyper_grid.beta_nodes)) [:, None] \
         * hyper_grid.sphere.weights[None, :]
@@ -323,13 +324,19 @@ def test_hyper_round_trip_needs_plancherel_weight(hyper_grid):
         if val:
             hc.table[mode] = complex(val)
         tables.append(hc)
-    F = fourier_hyper_inverse(tables, hyper_grid, plancherel=True)
+    F = fourier_hyper_inverse(tables, hyper_grid)
     rho_t = 1.75
     chi = fourier_hyper_forward(F, rho_t, hyper_grid)
     assert_allclose(abs(chi[mode]), 2.0 / rho_t * _band_profile(rho_t) * rho_t / 2,
                     rtol=1e-3)
-    # literal unweighted pair composes to 2/rho times the identity
-    F_lit = fourier_hyper_inverse(tables, hyper_grid, plancherel=False)
+    # literal unweighted pair composes to 2/rho times the identity; its
+    # inverse is the weighted inverse of (2/rho) chi
+    literal = []
+    for hc in tables:
+        lit = HyperCoeffs(rho=hc.rho)
+        lit.table = {k: 2.0 / hc.rho * v for k, v in hc.table.items()}
+        literal.append(lit)
+    F_lit = fourier_hyper_inverse(literal, hyper_grid)
     chi_lit = fourier_hyper_forward(F_lit, rho_t, hyper_grid)
     assert_allclose(abs(chi_lit[mode]),
                     (2.0 / rho_t) ** 2 * _band_profile(rho_t) * rho_t / 2,
@@ -646,16 +653,15 @@ def test_cone_signed_tau_breaks_parity():
     # the unsigned tau'-sum preserves parity (see the parity test); the
     # signed reading of the measure remark flips it: an antipodally even
     # input comes out odd.  This is the recorded discriminator between the
-    # two conventions.
+    # two conventions.  The signed transform of h is the unsigned one of t' h.
     grid = ConeGrid(n=2, n_theta=64, s_window=(1e-3, 1e3), n_s=240)
 
-    def heven(s, tp, xp):
+    def heven_signed(s, tp, xp):
         g = np.exp(-np.log(s) ** 2 / 2.0) / np.sqrt(s)
-        return g * (xp[1] ** 2 - xp[0] ** 2 + 0.5 * tp * xp[0])
+        return tp * g * (xp[1] ** 2 - xp[0] ** 2 + 0.5 * tp * xp[0])
 
-    psi = cone_fourier_forward(ConeFunction(2, heven, grid.s_window),
-                               np.array([0.9, 1.7]), grid,
-                               tau_weight="signed", method="spectral")
+    psi = cone_fourier_forward(ConeFunction(2, heven_signed, grid.s_window),
+                               np.array([0.9, 1.7]), grid, method="spectral")
     half = grid.n_theta // 2
     odd = psi.values[1] - np.roll(psi.values[-1], half, axis=0)
     even = psi.values[1] + np.roll(psi.values[-1], half, axis=0)
@@ -781,6 +787,7 @@ def test_cone_pair_matches_dense_reference(method):
             + 1j * rng.normal(size=(grid.n_theta, rho_nodes.size))
             for tp in (1, -1)}
     s = grid.s_nodes
+    # the signed tau'-sum is the unsigned pair applied to t' h and tau' psi
     for tau_weight in ("unsigned", "signed"):
         varpi = {tp: np.stack([mellin_forward(lambda sv: hfun(sv, tp, d), 2,
                                               rho_nodes, grid.s_window,
@@ -804,10 +811,13 @@ def test_cone_pair_matches_dense_reference(method):
                                 / (2 * math.pi)
                                 * np.outer(radial, acc))
 
-        psi = cone_fourier_forward(ConeFunction(2, hfun, grid.s_window),
-                                   rho_nodes, grid, tau_weight, method)
-        h = cone_fourier_inverse(ConeSpectrum(grid, rho_nodes, vals), rho_w,
-                                 tau_weight, method=method)
+        sgn = (lambda t: t) if tau_weight == "signed" else (lambda t: 1.0)
+        psi = cone_fourier_forward(
+            ConeFunction(2, lambda sv, tp, xp: sgn(tp) * hfun(sv, tp, xp),
+                         grid.s_window), rho_nodes, grid, method)
+        h = cone_fourier_inverse(
+            ConeSpectrum(grid, rho_nodes, {t: sgn(t) * vals[t] for t in (1, -1)}),
+            rho_w, method=method)
         for tp in (1, -1):
             for got, ref in ((psi.values[tp], fwd_ref[tp]), (h[tp], inv_ref[tp])):
                 assert got.shape == ref.shape
@@ -836,9 +846,7 @@ def test_cone_direct_refuses_wrapped_stencil(n_theta):
 
 
 @pytest.mark.parametrize("kwargs,match", [
-    ({"method": "spectal"}, "method must be 'direct' or 'spectral'"),
-    ({"method": "spectral", "tau_weight": "sigend"},
-     "tau_weight must be 'unsigned' or 'signed'")])
+    ({"method": "spectal"}, "method must be 'direct' or 'spectral'")])
 def test_cone_rejects_unknown_conventions(kwargs, match):
     grid = ConeGrid(n=2, n_theta=16, s_window=(1e-3, 1e3), n_s=60)
     h = ConeFunction(2, lambda s, tp, xp: np.exp(-np.log(s) ** 2) * xp[1],
@@ -850,6 +858,22 @@ def test_cone_rejects_unknown_conventions(kwargs, match):
         cone_fourier_forward(h, rho, grid, **kwargs)
     with pytest.raises(ValueError, match=match):
         cone_fourier_inverse(psi, [0.5, 0.5], **kwargs)
+
+
+def test_cone_default_method_is_spectral():
+    # a caller who names no method gets the exact symbol, not the direct
+    # quadrature (off by 2.4e-2 at this n_theta)
+    grid = ConeGrid(n=2, n_theta=64, s_window=(1e-3, 1e3), n_s=120)
+    h = ConeFunction(2, lambda s, tp, xp: np.exp(-np.log(s) ** 2)
+                     * (xp[1] + 0.3 * tp * xp[0] ** 3), grid.s_window)
+    rho = np.array([0.8, 1.5])
+    psi = cone_fourier_forward(h, rho, grid)
+    ref = cone_fourier_forward(h, rho, grid, method="spectral")
+    back = cone_fourier_inverse(psi, [0.5, 0.5])
+    back_ref = cone_fourier_inverse(psi, [0.5, 0.5], method="spectral")
+    for tp in (1, -1):
+        assert np.array_equal(psi.values[tp], ref.values[tp])
+        assert np.array_equal(back[tp], back_ref[tp])
 
 
 def test_cone_direct_accepts_unwrapped_stencil():
