@@ -49,7 +49,7 @@ def minkowski_covector(xi, mu: float | None = None, tol: float = 1e-10) -> np.nd
     xi = np.asarray(xi, dtype=float)
     xibar = np.concatenate(([xi[0]], -xi[1:-1]))
     if mu is not None:
-        q = -xibar[0] ** 2 + float(xibar[1:] @ xibar[1:])
+        q = float(minkowski_dot(xibar, xibar))
         if abs(q + mu**2) > tol * max(mu**2, 1.0):
             raise ValueError(f"xibar.xibar = {q} is not -mu^2 = {-mu**2}")
     return xibar
@@ -342,15 +342,14 @@ def spectral_smearing_contrast(n: int = 2, rho_center: float = 2.5,
 
 def _bessel_product_series(eta: float, nu: float, terms: int = 24) -> np.ndarray:
     """Coefficients a_p of J_eta(y) J_nu(y) = (y/2)^{eta+nu} sum_p a_p (y/2)^{2p}."""
-    def coeffs(order):
-        c = np.zeros(terms)
-        for m in range(terms):
-            c[m] = (-1.0) ** m / (math.gamma(m + 1) * math.gamma(order + m + 1))
-        return c
+    m = np.arange(1, terms)
 
-    ca, cb = coeffs(eta), coeffs(nu)
-    prod = np.convolve(ca, cb)[:terms]
-    return prod
+    def coeffs(order):
+        # c_m = (-1)^m / (m! Gamma(order + m + 1)) by c_m = -c_{m-1} / (m (order + m))
+        return np.cumprod(np.concatenate(([1.0 / math.gamma(order + 1.0)],
+                                          -1.0 / (m * (order + m)))))
+
+    return np.convolve(coeffs(eta), coeffs(nu))[:terms]
 
 
 # the Hankel tail starts at y = Y0 = 40, doubled up to 640 while the order
@@ -486,6 +485,25 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
     return complex(val[0]) if eps_arr.ndim == 0 else val
 
 
+def _extrapolate(A: np.ndarray, vals: np.ndarray) -> tuple[complex, float]:
+    """(c_0, spread) of the least-squares fit A c = vals and of its
+    leave-one-out fits: c_0 of the full fit, and the largest distance of a
+    leave-one-out c_0 from it, relative to |c_0|.
+
+    All N + 1 fits are one stacked pseudo-inverse: copy i of A has row i
+    zeroed, which the pseudo-inverse ignores as a fit without that row
+    would.  Singular values below max(N, P) rounding units of the largest
+    are cut, as np.linalg.lstsq with rcond=None cuts them, so a
+    rank-deficient fit gives the minimum-norm solution, not LinAlgError.
+    """
+    rows = np.arange(A.shape[0])
+    stack = np.repeat(A[None], rows.size + 1, axis=0)
+    stack[rows + 1, rows] = 0.0
+    c0 = np.linalg.pinv(stack, max(A.shape) * np.finfo(float).eps)[:, 0] @ vals
+    spread = np.max(np.abs(c0[1:] - c0[0]), initial=0.0) / max(abs(c0[0]), 1e-300)
+    return complex(c0[0]), float(spread)
+
+
 def appendix_d_oracle(n: int, j: int, k: int, rho: float,
                       eps_values=None, fit_order: int = 3,
                       rel_check: float = 5e-4) -> float:
@@ -497,7 +515,8 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
     {eps^m, eps^{m - i rho}}, m = 0..fit_order; |d| is then assembled as
     |Gamma((n-1)/2 + i rho)| e^{pi rho/2} / ((2 pi)^{(n+1)/2} |I|).
     All I(eps) come from one bessel_pair_integral call, whose Bessel values
-    and Gamma functions serve every eps.
+    and Gamma functions serve every eps, and the full fit and the
+    leave-one-out fits are one stacked solve (_extrapolate).
 
     Raises AccuracyError when the extrapolation is unstable (leave-one-out
     spread above rel_check); bessel_pair_integral raises PoleError for
@@ -512,19 +531,7 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
     for m in range(fit_order + 1):
         cols.append(eps ** m)
         cols.append(eps ** (m - 1j * rho))
-    A = np.array(cols).T
-
-    def solve(mask):
-        coef, *_ = np.linalg.lstsq(A[mask], vals[mask], rcond=None)
-        return coef[0]
-
-    full = solve(np.ones(len(eps), dtype=bool))
-    drops = []
-    for i in range(len(eps)):
-        mask = np.ones(len(eps), dtype=bool)
-        mask[i] = False
-        drops.append(solve(mask))
-    spread = max(abs(d - full) for d in drops) / max(abs(full), 1e-300)
+    full, spread = _extrapolate(np.array(cols).T, vals)
     if spread > rel_check:
         raise AccuracyError(f"eps-extrapolation unstable: spread {spread:.2e}")
     gam = math.exp(specfun.ln_gamma(0.5 * (n - 1) + 1j * rho).real)

@@ -25,6 +25,15 @@ raises AccuracyError (DLMF 15.2, 15.8).  The principal-series parameters
 always have non-integer c-a-b, which keeps the connection formula
 non-degenerate.
 
+The incomplete Gamma functions run no long Python loop over terms.
+gamma_lower_scaled sums the Kummer series of gamma(s, z) (DLMF 8.7.1) as
+one cumprod over a term axis, each element stopping on its own last
+term.  gamma_upper takes the Kummer form Gamma(s) - z^s gamma*(s, z) below
+|z| = 1, and below |z| = 8 on the elements whose subtraction loses at
+most 2 digits (the digit-budget idiom of the 2F1 kernel, with a smaller
+budget); every other element takes the continued fraction of DLMF 8.9.2,
+which there converges in at most about 110 steps.
+
 Every Gauss rule is gauss_rule, the symmetric Gauss-Jacobi rule for
 (1 - x^2)^a by Newton on the Gegenbauer recurrence of gegenbauer_C (DLMF
 18.9.1, 3.5(v)), or gauss_panels, its Legendre rule on each of a row of
@@ -123,10 +132,15 @@ def ln_gamma(z):
     return out[()]
 
 
-# gamma_upper: |z| below which the Kummer series runs, the step cap of
-# either method, and the relative size of the last step at convergence
-# (one rounding unit)
+# gamma_upper: the Kummer form serves |z| < 1, where the continued fraction
+# needs hundreds of steps or does not converge at all, and the elements with
+# |z| < 8 that lose at most _GAMMA_DIGIT_BUDGET digits to its subtraction;
+# the fraction serves the rest, in at most about 110 steps (at |z| = 1)
 _GAMMA_SERIES_RADIUS = 1.0
+_GAMMA_KUMMER_RADIUS = 8.0
+_GAMMA_DIGIT_BUDGET = 2.0
+# the step cap of either method, and the relative size of the last step at
+# convergence (one rounding unit)
 _GAMMA_MAX_STEPS = 1000
 _GAMMA_TOL = 2.3e-16
 
@@ -137,55 +151,87 @@ def gamma_upper(s, z) -> np.ndarray:
     z must lie off the branch cut (-inf, 0] of z^s; on it the call raises
     UnsupportedCaseError.  Each element takes one of two methods:
 
-    * |z| < 1: Gamma(s) - z^s e^{-z} sum_k z^k / (s)_{k+1}, the Kummer form
-      of gamma(s, z) (DLMF 8.7.1, gamma_lower_scaled), with Gamma(s) from
-      ln_gamma; a non-positive integer s raises PoleError.  The
-      subtraction loses at most about two digits there, more at larger |z|;
+    * the Kummer form Gamma(s) - z^s e^{-z} sum_k z^k / (s)_{k+1} of
+      gamma(s, z) (DLMF 8.7.1, gamma_lower_scaled), with Gamma(s) from
+      ln_gamma, at |z| < 1, where a non-positive integer s raises
+      PoleError, and at 1 <= |z| < 8 where s is not such an integer and
+      the subtraction loses at most 2 digits, log10 of
+      max(|Gamma(s)|, |gamma(s, z)|) / |Gamma(s, z)|.  Below |z| = 1 every
+      element keeps it: the fraction would need hundreds of steps there,
+      and the loss is at most 1.3 digits at s = i rho - m, rho >= 0.3;
     * otherwise the continued fraction of DLMF 8.9.2 (even part),
       evaluated by the modified Lentz method.  Its step count grows as |z|
-      shrinks: up to about 90 at |z| = 1 and 10 at |z| = 80.
+      shrinks: up to about 110 at |z| = 1, 30 at |z| = 4 and 7 at |z| = 80.
 
-    Either raises AccuracyError when it has not converged in
-    _GAMMA_MAX_STEPS steps.
+    At s = i rho - m, m <= 11, rho in [0.3, 3], the result is within 1e-12
+    relative of mpmath (at worst 5.6e-13, on the Kummer side of the
+    hand-over, at |z| of about 4).  Either method raises AccuracyError
+    when it has not converged in _GAMMA_MAX_STEPS steps.  An element's
+    value does not depend on the other elements of the call.
     """
     s, z = np.broadcast_arrays(np.asarray(s, dtype=complex),
                                np.asarray(z, dtype=complex))
     if np.any((z.imag == 0.0) & (z.real <= 0.0)):
         raise UnsupportedCaseError(
             "Gamma(s, z) needs z off the branch cut (-inf, 0]")
+    shape, s, z = s.shape, s.ravel(), z.ravel()
     out = np.empty(s.shape, dtype=complex)
-    near = np.abs(z) < _GAMMA_SERIES_RADIUS
+    r = np.abs(z)
+    near = (r < _GAMMA_SERIES_RADIUS) | ((r < _GAMMA_KUMMER_RADIUS)
+                                         & ~_is_nonpositive_int(s))
+    frac = ~near
     if np.any(near):
         sn, zn = s[near], z[near]
-        out[near] = np.exp(ln_gamma(sn)) - zn ** sn * gamma_lower_scaled(sn, zn)
-    if not np.all(near):
-        out[~near] = _gamma_upper_fraction(s[~near], z[~near])
-    return out[()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.exp(ln_gamma(sn))
+            lower = zn ** sn * gamma_lower_scaled(sn, zn)
+            out[near] = full - lower
+            lost = _digits_lost(np.maximum(np.abs(full), np.abs(lower)), out[near])
+        # past |z| = 1 an element over the budget, or not finite, hands over
+        frac[near] = (r[near] >= _GAMMA_SERIES_RADIUS) & ~(lost <= _GAMMA_DIGIT_BUDGET)
+    if np.any(frac):
+        out[frac] = _gamma_upper_fraction(s[frac], z[frac])
+    return out.reshape(shape)[()]
 
 
 def gamma_lower_scaled(s, z) -> np.ndarray:
     """z^{-s} gamma(s, z) = e^{-z} sum_k z^k / (s)_{k+1}, broadcast over s and z.
 
     The Kummer form of the lower incomplete Gamma function (DLMF 8.7.1),
-    entire in z.  e^{-z} rides in the first term, so nothing overflows for
-    real z up to 700, and for real z > 0 and Re s > 0 the terms do not
-    alternate, so nothing cancels.
-    s must not be a non-positive integer.  Raises AccuracyError when the
-    sum has not converged in _GAMMA_MAX_STEPS terms.
+    entire in z.  The terms are one cumprod over a term axis whose first
+    factor is e^{-z}/s, so nothing overflows for real z up to 700, and for
+    real z > 0 and Re s > 0 they do not alternate, so nothing cancels.
+    Each element stops at its own first term k >= 1 past |z| - Re s (after
+    which every term shrinks) that is within one rounding unit of its
+    partial sum, so its value does not depend on the other elements of the
+    call.  The axis starts at the largest max(|z| - Re s, 0) + 10 sqrt|z|
+    + 12 of the call, which covers the terms' fall past their peak (about
+    12 terms at |z| = 0.3, 50 at |z| = 6 and Re s = -11, 920 at z = 700),
+    and doubles while an element runs past it.
+    s must not be a non-positive integer.  Raises AccuracyError when an
+    element has not converged in _GAMMA_MAX_STEPS terms.
     """
     s, z = np.broadcast_arrays(np.asarray(s, dtype=complex),
                                np.asarray(z, dtype=complex))
-    term = np.exp(-z) / s
-    acc = term
-    for k in range(1, _GAMMA_MAX_STEPS):
-        term = term * z / (s + k)
-        acc = acc + term
-        # past k > |z| - Re s every later term shrinks by a ratio below 1
-        if np.all((np.abs(term) <= _GAMMA_TOL * np.abs(acc))
-                  & (k + s.real > np.abs(z))):
-            return acc[()]
-    raise AccuracyError(f"Kummer sum of gamma(s, z) did not converge in "
-                        f"{_GAMMA_MAX_STEPS} terms")
+    shape, s, z = s.shape, s.ravel(), z.ravel()
+    r = np.abs(z)
+    rise = r - s.real  # terms past k = rise shrink
+    need = np.maximum(rise, 0.0) + 10.0 * np.sqrt(r)
+    n = min(_GAMMA_MAX_STEPS, 12 + math.ceil(
+        np.max(need, initial=0.0, where=np.isfinite(need))))
+    while True:
+        k = np.arange(n)[:, None]
+        terms = np.cumprod(np.concatenate(((np.exp(-z) / s)[None],
+                                           z / (s + k[1:]))), axis=0)
+        sums = np.cumsum(terms, axis=0)
+        done = (np.abs(terms) <= _GAMMA_TOL * np.abs(sums)) & (k > rise)
+        done[0] = False
+        if np.all(np.any(done, axis=0)):
+            return sums[np.argmax(done, axis=0), np.arange(s.size)].reshape(shape)[()]
+        if n == _GAMMA_MAX_STEPS:
+            raise AccuracyError(f"Kummer sum of gamma(s, z) did not converge "
+                                f"in {_GAMMA_MAX_STEPS} terms")
+        n = min(_GAMMA_MAX_STEPS, 2 * n)
 
 
 def _gamma_upper_fraction(s: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -195,21 +241,27 @@ def _gamma_upper_fraction(s: np.ndarray, z: np.ndarray) -> np.ndarray:
     b = z + 1.0 - s
     c = np.full(s.shape, 1.0 / tiny, dtype=complex)
     d = 1.0 / b
-    h = d
+    h = d.copy()
     for i in range(1, _GAMMA_MAX_STEPS):
+        # in place, each product with its operands in the order of
+        # d = an d + b, c = b + an / c: numpy's complex product (FMA) is
+        # not bitwise commutative
         an = -i * (i - sl)
-        b = b + 2.0
-        d = an * d + b
+        b += 2.0
+        np.multiply(an, d, out=d)
+        d += b
         d[np.abs(d) < tiny] = tiny
-        c = b + an / c
+        np.divide(an, c, out=c)
+        c += b
         c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
+        np.divide(1.0, d, out=d)
         delta = d * c
-        h = h * delta
+        h *= delta
         # a converged element leaves the iteration, so its value does not
         # depend on the other elements of the call
-        fin = np.abs(delta - 1.0) <= _GAMMA_TOL
-        if np.any(fin):
+        delta -= 1.0
+        fin = np.abs(delta) <= _GAMMA_TOL
+        if fin.any():
             out[live[fin]] = h[fin]
             keep = ~fin
             live, sl, b, c, d, h = (live[keep], sl[keep], b[keep], c[keep],
@@ -490,10 +542,15 @@ def gauss_rule(n: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     on the recurrence, started at cos(pi (k - (1 - lam)/2) / (n + lam))
     (exact at lam = 0 and 1), for x >= 0 only and mirrored.  The weights
     are proportional to (1 - x^2) / ((1 - x^2) C_n')^2 and sum to
-    sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2).  For n <= 128 and a <= 2 the
-    nodes are exact to rounding and the weights to 3e-13 relative (against
-    mpmath).  n < 1 or a < 0 raises ValueError; AccuracyError where Newton
-    misses the ceil(n/2) distinct zeros in [0, 1), as at a = 4.5, n >= 17.
+    sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2).  The pass whose step is below
+    1e-13 is the last: its (1 - x^2) C_n' moves to the new nodes by the
+    first-order term of the Gegenbauer equation, (2 lam - 1) x C_n' times
+    the step (DLMF 18.8.1), so no further pass re-evaluates it: Legendre
+    rules with 2 <= n <= 128 take four passes.  For n <= 128 and a <= 2.5
+    the nodes are exact to rounding and the weights to 3e-13 relative
+    (against mpmath).  n < 1 or a < 0 raises ValueError; AccuracyError
+    where Newton misses the ceil(n/2) distinct zeros in [0, 1), as at
+    a = 4.5, n >= 17.
     """
     if n < 1 or a < 0:
         raise ValueError(f"a Gauss rule needs n >= 1 and a >= 0, got n={n}, a={a}")
@@ -502,14 +559,15 @@ def gauss_rule(n: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     x = np.cos(math.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.5 * (1.0 - lam)) / (n + lam))
     if odd:
         x[-1] = 0.0
-    step = np.inf
     for _ in range(_GAUSS_MAX_STEPS):
         c, c_prev = _gegenbauer_pair(lam, n, x)
         slope = (n + 2.0 * lam - 1.0) * c_prev - n * x * c  # (1 - x^2) C_n'
-        if np.abs(step).max() <= _GAUSS_STEP_TOL:
-            break  # slope is that of the converged nodes
-        step = c * ((1.0 - x) * (1.0 + x)) / slope
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        step = c * one_minus_x2 / slope
         x = x - step
+        if np.abs(step).max() <= _GAUSS_STEP_TOL:
+            slope *= 1.0 - (2.0 * lam - 1.0) * x * step / one_minus_x2
+            break
     else:
         raise AccuracyError(f"Gauss rule n={n}, a={a}: Newton did not "
                             f"converge in {_GAUSS_MAX_STEPS} passes")

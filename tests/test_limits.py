@@ -455,6 +455,69 @@ def test_appendix_oracle_matches_formula_sample():
         assert abs(oracle - closed) / closed <= 1e-4
 
 
+def _fit_basis(eps, rho):
+    cols = []
+    for m in range(4):
+        cols.append(eps ** m)
+        cols.append(eps ** (m - 1j * rho))
+    return np.array(cols).T
+
+
+def _extrapolate_per_mask(A, vals):
+    """(c_0, spread) by one lstsq call per fit: the full fit and each fit
+    without one row."""
+    def solve(mask):
+        coef, *_ = np.linalg.lstsq(A[mask], vals[mask], rcond=None)
+        return coef[0]
+
+    full = solve(np.ones(len(vals), dtype=bool))
+    drops = []
+    for i in range(len(vals)):
+        mask = np.ones(len(vals), dtype=bool)
+        mask[i] = False
+        drops.append(solve(mask))
+    return full, max(abs(d - full) for d in drops) / abs(full)
+
+
+@pytest.mark.parametrize("n,j,k,rho", [(2, 0, 0, 1.0), (3, 1, 1, 0.5),
+                                       (5, 2, 0, 2.7)])
+def test_stacked_fit_matches_per_mask_lstsq(n, j, k, rho):
+    eps = np.geomspace(2e-3, 1.5e-1, 10)
+    A = _fit_basis(eps, rho)
+    vals = bessel_pair_integral(n, j, k, rho, eps)
+    full, spread = limits._extrapolate(A, vals)
+    ref_full, ref_spread = _extrapolate_per_mask(A, vals)
+    assert abs(full - ref_full) <= 1e-12 * abs(ref_full)
+    # spread is already relative to |c_0|, and it is a difference of
+    # nearly equal fits: compared absolutely
+    assert abs(spread - ref_spread) <= 1e-12
+
+
+def test_stacked_fit_rank_deficient():
+    # 2 eps against 8 columns: every fit is underdetermined, and each
+    # leave-one-out copy has rank 1; the minimum-norm solutions come back
+    eps = np.array([0.1, 0.11])
+    A = _fit_basis(eps, 1.0)
+    vals = bessel_pair_integral(2, 0, 0, 1.0, eps)
+    full, spread = limits._extrapolate(A, vals)
+    ref_full, ref_spread = _extrapolate_per_mask(A, vals)
+    assert abs(full - ref_full) <= 1e-12 * abs(ref_full)
+    assert abs(spread - ref_spread) <= 1e-12 * ref_spread
+
+
+def test_bessel_product_series_vs_gamma_form():
+    # the running ratio against (-1)^m / (m! Gamma(order + m + 1)) per term
+    for eta, nu in ((0.0, -0.5), (1.5, 0.5), (3.5, -0.5)):
+        def coeffs(order):
+            return np.array([(-1.0) ** m / (math.gamma(m + 1)
+                                            * math.gamma(order + m + 1))
+                             for m in range(24)])
+
+        ref = np.convolve(coeffs(eta), coeffs(nu))[:24]
+        assert_allclose(limits._bessel_product_series(eta, nu), ref,
+                        rtol=1e-14, atol=0)
+
+
 def test_appendix_oracle_rejects_unstable_fit():
     from dswave.errors import AccuracyError
     with pytest.raises(AccuracyError):

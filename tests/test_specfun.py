@@ -111,6 +111,27 @@ def test_ln_gamma_near_poles_vs_mpmath():
 # --------------------------------------------------- upper incomplete Gamma
 
 
+def _assert_gamma_upper_vs_mpmath(rho, m, z):
+    """gamma_upper at s = i rho - m against mpmath to 1e-12 relative."""
+    s = 1j * rho - m
+    got = specfun.gamma_upper(s[:, None], z[None, :])
+    assert got.shape == (m.size, z.size)
+    for k, zk in enumerate(z):
+        # mpmath's gammainc at m = 0, then down in m by the recurrence
+        # Gamma(s, z) = (Gamma(s + 1, z) - z^s e^{-z}) / s (DLMF 8.8.2)
+        # at 40 digits (the recurrence loses up to 13 of them at |z| = 80;
+        # gammainc itself takes about 6 ms per complex-z call at m > 0)
+        with mp.workdps(40):
+            zm = mp.mpc(complex(zk))
+            ref = mp.gammainc(mp.mpc(0, rho), zm)
+            for i, si in enumerate(s):
+                if i:
+                    sm = mp.mpc(complex(si))
+                    ref = (ref - zm ** sm * mp.exp(-zm)) / sm
+                r = complex(ref)
+                assert abs(got[i, k] - r) <= 1e-12 * abs(r), (si, zk)
+
+
 def test_gamma_upper_vs_mpmath():
     # the arguments of the |d| oracle's Hankel tail: s = i rho - m for every
     # kept term m of the orders eta = 0 .. 7/2, z = p Y0 with p = eps and
@@ -122,23 +143,32 @@ def test_gamma_upper_vs_mpmath():
     eps = np.concatenate([np.geomspace(2e-3, 1.5e-1, 10), [0.4, 1.6, 3.0]])
     z = np.concatenate([eps, eps - 2j, eps + 2j]) * y0
     for rho in (0.3, 1.0, 3.0):
-        s = 1j * rho - m
-        got = specfun.gamma_upper(s[:, None], z[None, :])
-        assert got.shape == (m.size, z.size)
-        for k, zk in enumerate(z):
-            # mpmath's gammainc at m = 0, then down in m by the recurrence
-            # Gamma(s, z) = (Gamma(s + 1, z) - z^s e^{-z}) / s (DLMF 8.8.2)
-            # at 40 digits (the recurrence loses up to 13 of them at |z| = 80;
-            # gammainc itself takes about 6 ms per complex-z call at m > 0)
-            with mp.workdps(40):
-                zm = mp.mpc(complex(zk))
-                ref = mp.gammainc(mp.mpc(0, rho), zm)
-                for i, si in enumerate(s):
-                    if i:
-                        sm = mp.mpc(complex(si))
-                        ref = (ref - zm ** sm * mp.exp(-zm)) / sm
-                    r = complex(ref)
-                    assert abs(got[i, k] - r) <= 1e-12 * abs(r), (si, zk)
+        _assert_gamma_upper_vs_mpmath(rho, m, z)
+
+
+def test_gamma_upper_handover_band_vs_mpmath():
+    # across 1 <= |z| < 8, where an element keeps the Kummer form only if
+    # its subtraction loses at most 2 digits: real z from 0.5 to 10 (the
+    # loss there runs from 0 to 9 digits) and the oracle's complex z
+    m = np.arange(12)
+    eps = np.array([2e-3, 0.02, 0.15])
+    z = np.concatenate([np.linspace(0.5, 10.0, 20), (eps - 2j) * 40.0,
+                        (eps + 2j) * 40.0])
+    for rho in (0.3, 1.0, 3.0):
+        _assert_gamma_upper_vs_mpmath(rho, m, z)
+
+
+def test_gamma_upper_nonpositive_integer_s():
+    # at 1 <= |z| < 8 a pole of Gamma(s) takes the continued fraction;
+    # below |z| = 1 the Kummer form needs Gamma(s) and raises PoleError
+    s = np.array([0.0, -1.0, -4.0])
+    z = np.array([1.0, 2.5 - 1.0j, 7.9])
+    got = specfun.gamma_upper(s[:, None], z[None, :])
+    for (i, k), g in np.ndenumerate(got):
+        ref = complex(mp.gammainc(s[i], z[k]))
+        assert abs(g - ref) <= 1e-12 * abs(ref), (s[i], z[k])
+    with pytest.raises(PoleError):
+        specfun.gamma_upper(s, 0.5)
 
 
 def test_gamma_upper_scalar_and_series_branch():
@@ -160,6 +190,24 @@ def test_gamma_lower_scaled_vs_mpmath():
     for (i, k), g in np.ndenumerate(got):
         ref = complex(mp.mpf(z[k]) ** (-mp.mpc(s[i])) * mp.gammainc(s[i], 0, z[k]))
         assert abs(g - ref) <= 1e-12 * abs(ref), (s[i], z[k])
+
+
+def test_gamma_lower_scaled_array_matches_one_element_calls():
+    # each element stops on its own last term: an array call returns
+    # bitwise the values of one-element calls, also where the elements
+    # need from a few terms (|z| = 1e-3) to about 1000 (z = 700)
+    rng = np.random.default_rng(3)
+    s = np.concatenate([rng.uniform(0.5, 50.0, 12) + 1j * rng.uniform(-3, 3, 12),
+                        1j * rng.uniform(0.1, 3.0, 6) - np.arange(0, 12, 2)])
+    z = np.exp(rng.uniform(math.log(1e-3), math.log(700.0), s.size))
+    z = np.where(np.arange(s.size) % 3 == 0, z * np.exp(0.4j), z)
+    z[s.real < 0] = np.minimum(z[s.real < 0], 8.0)
+    z[1] = 700.0
+    got = specfun.gamma_lower_scaled(s, z)
+    one = np.array([specfun.gamma_lower_scaled(si, zi) for si, zi in zip(s, z)])
+    assert np.array_equal(got, one)
+    grid = specfun.gamma_lower_scaled(s[:, None], z[None, :6])
+    assert np.array_equal(grid[:, 0], specfun.gamma_lower_scaled(s, z[0]))
 
 
 @pytest.mark.parametrize("z", [0.0, -1.5])
@@ -452,6 +500,17 @@ def test_gauss_rule_even_moments(n, a):
     for k in range(n):
         ref = float(mp.beta(k + 0.5, a + 1.0))
         assert abs(np.sum(w * x ** (2 * k)) / ref - 1.0) <= 1e-13
+
+
+def test_gauss_rule_legendre_passes(monkeypatch):
+    # the last Newton pass also gives the weights: four recurrence passes
+    # build the 16-point Legendre rule of the panels
+    calls = []
+    pair = specfun._gegenbauer_pair
+    monkeypatch.setattr(specfun, "_gegenbauer_pair",
+                        lambda *args: calls.append(args) or pair(*args))
+    specfun.gauss_rule(16)
+    assert len(calls) == 4
 
 
 def test_gauss_rule_guards():
