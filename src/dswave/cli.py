@@ -13,6 +13,7 @@ Exit codes: 0 success (all criteria pass), 1 runtime evaluation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -97,11 +98,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# rows per format pass of write_csv's float path: its Python lists stay
+# small on any grid
+_CSV_CHUNK = 4096
+
+
 def write_csv(path: str, header: list[str], rows, meta: dict) -> None:
+    """'#' metadata lines, the header, then one line per row.
+
+    A 2-D float64 array is written by one "%.17g" format string per row,
+    which gives the same bytes as _fmt's f"{x:.17g}"; other rows (mixed
+    str, int, bool and float values) go through _fmt value by value."""
     with open(path, "w", encoding="utf-8") as fh:
         for k in sorted(meta):
             fh.write(f"# {k} = {meta[k]}\n")
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, rows.shape[0], _CSV_CHUNK):
+                fh.write("".join(line % tuple(row)
+                                 for row in rows[start:start + _CSV_CHUNK].tolist()))
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
@@ -162,9 +179,10 @@ def cmd_planewave(cfg: dict, args) -> int:
     angles = tuple([np.pi / 2] * (n - 2))  # the same chart angles on every row
     meta = _meta(cfg, args)
     if cfg["mode"] == "hyper":
-        ls = tuple(_ints(cfg["ls"])) if cfg["ls"] else ()
+        # an empty ls gives every chain label |m|
+        ls = tuple(_ints(cfg["ls"])) if cfg["ls"] else (abs(int(cfg["m"])),) * (n - 2)
         if len(ls) != n - 2:
-            ls = tuple([abs(int(cfg["m"]))] * (n - 2))
+            raise ValueError(f"ls needs n - 2 = {n - 2} labels, got {cfg['ls']!r}")
         wave = HyperWave(int(cfg["alpha"]), float(cfg["rho"]),
                          HarmonicIndex(n, int(cfg["m"]), ls))
         vals = (planewave.radial_profile(wave, betas)
@@ -274,7 +292,10 @@ def cmd_verify(cfg: dict, args) -> int:
     return 0 if all(row[3] for row in rows) else 1
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process: parse_args leaves it
+    unchanged, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="dswave",
         description="Plane waves, Fourier analysis and wavepackets on de "
@@ -296,7 +317,11 @@ def main(argv=None) -> int:
     verify.add_argument("suite")
     sub.add_parser("contract")
     sub.add_parser("appendix-d")
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

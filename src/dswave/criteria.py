@@ -186,10 +186,8 @@ def transform_round_trips() -> list[Row]:
     F = fourier_hyper_inverse(tables, grid)
     chis = [fourier_hyper_forward(F, float(r), grid) for r in grid.rho_nodes]
     F2 = fourier_hyper_inverse(chis, grid)
-    meas = (grid.beta_weights * np.cosh(grid.beta_nodes))[:, None] \
-        * grid.sphere.weights[None, :]
-    hyper_err = math.sqrt(float(np.sum(np.abs(F2 - F) ** 2 * meas)
-                                / np.sum(np.abs(F) ** 2 * meas)))
+    hyper_err = math.sqrt(float(np.sum(np.abs(F2 - F) ** 2 * grid.measure)
+                                / np.sum(np.abs(F) ** 2 * grid.measure)))
 
     # Mellin round trip on a smooth bump
     s = np.geomspace(0.05, 20.0, 160)

@@ -137,13 +137,12 @@ def decay_fit(s_values, f_values, n_windows: int = 4,
             nbins = max(3, int(round(math.log(hi / lo) / bin_width)))
             bins = np.geomspace(lo, hi, nbins + 1)
             which = np.digitize(ss, bins)
-            ss_env, ff_env = [], []
-            for b in np.unique(which):
-                m = which == b
-                j = np.argmax(ff[m])
-                ss_env.append(ss[m][j])
-                ff_env.append(ff[m][j])
-            ss, ff = np.asarray(ss_env), np.asarray(ff_env)
+            # bin by bin, the first of the samples with the bin's largest
+            # |f|: the sort is stable, so ties keep the sample order
+            order = np.lexsort((-ff, which))
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = which[order[1:]] != which[order[:-1]]
+            ss, ff = ss[order[first]], ff[order[first]]
         good = ff > 0
         if good.sum() < 3:
             continue

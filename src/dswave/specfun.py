@@ -37,11 +37,15 @@ which there converges in at most about 110 steps.
 Every Gauss rule is gauss_rule, the symmetric Gauss-Jacobi rule for
 (1 - x^2)^a by Newton on the Gegenbauer recurrence of gegenbauer_C (DLMF
 18.9.1, 3.5(v)), or gauss_panels, its Legendre rule on each of a row of
-intervals.
+intervals.  gauss_rule builds its rule on every call; gauss_panels reads
+the Legendre rule from _legendre_rule, which builds each n once per
+process and returns read-only arrays, so the cache cannot change a
+result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -581,10 +585,21 @@ def gauss_rule(n: int, a: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate((w, w[-1 - odd::-1])))
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """gauss_rule(n), built once per n and held read-only, so no caller
+    can change what a later call reads."""
+    x, w = gauss_rule(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on each interval (lo, hi) between
-    consecutive edges: nodes and weights, interval after interval."""
-    x, w = gauss_rule(n)
+    consecutive edges: nodes and weights, interval after interval.  The
+    rule comes read-only from _legendre_rule, built on the first call for
+    each n."""
+    x, w = _legendre_rule(n)
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]

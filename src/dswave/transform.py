@@ -140,6 +140,14 @@ class QuadratureGrid:
         tops = sorted({i.top for i in idxs})
         return idxs, Y, np.searchsorted(tops, [i.top for i in idxs])
 
+    @cached_property
+    def measure(self) -> np.ndarray:
+        """The chart measure on the nodes, shape (n_beta, n_sphere): beta
+        weight times cosh^(n-1) beta, times the sphere weight."""
+        n = self.sphere.n
+        return (self.beta_weights * np.cosh(self.beta_nodes) ** (n - 1))[:, None] \
+            * self.sphere.weights[None, :]
+
     def _radial(self, rhos, alpha: int) -> np.ndarray:
         idxs = self.harmonics[0]
         V, lost = radial_table(self.sphere.n, alpha, rhos,
@@ -389,12 +397,9 @@ def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid,
     f is either a broadcastable callable f(beta, phis, phi) or an already
     evaluated (n_beta, n_sphere) array on the grid.
     """
-    n = grid.sphere.n
     F = f if isinstance(f, np.ndarray) else eval_on_grid(f, grid)
-    meas = (grid.beta_weights * np.cosh(grid.beta_nodes) ** (n - 1))[:, None] \
-        * grid.sphere.weights[None, :]
     idxs, Y, top_row = grid.harmonics
-    G = F * meas
+    G = F * grid.measure
     Yc = np.conj(Y)
     # per alpha: conj(V) contracts beta, then each mode's row meets its
     # harmonic over the sphere

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dswave import criteria, transform
+from dswave import cli
 from dswave.cli import load_config, main
 from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper
 from dswave.planewave import HyperWave, principal_mass, psi_hyper
@@ -268,3 +269,73 @@ def test_planewave_hyper_cli_matches_psi_hyper(tmp_path, n):
 def test_main_in_process_exit_codes(tmp_path):
     assert main(["--out", str(tmp_path), "verify", "nope"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("n, ls", [(3, "1,2"), (2, "1"), (4, "2")])
+def test_planewave_wrong_length_ls_exit_2(tmp_path, capsys, n, ls):
+    # a non-empty ls must hold n - 2 chain labels; it is not replaced
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n = {n}\nm = 1\nls = {ls}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "planewave"]) == 2
+    assert "ls needs" in capsys.readouterr().err
+    assert not (tmp_path / "planewave.csv").exists()
+
+
+_CSV_EDGES = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+              -5e-324, 2.0 ** 53, 2.0 ** 53 + 2.0, 1e22, -1e22, 0.1, 1.0 / 3.0,
+              1.7976931348623157e308, 2.2250738585072014e-308, 123456789.0]
+
+
+@pytest.mark.parametrize("rows", [
+    np.array(_CSV_EDGES[:15]).reshape(5, 3),
+    np.array(_CSV_EDGES).reshape(4, 4),
+    np.zeros((0, 3)),
+], ids=["edges-3col", "edges-4col", "empty"])
+def test_write_csv_float_path_matches_value_path(tmp_path, rows):
+    # the float64 array path writes the bytes _fmt writes value by value,
+    # for rows of Python floats and of numpy float64 scalars alike
+    meta = {"b": 2, "a": "x"}
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    paths = [tmp_path / name for name in ("array.csv", "floats.csv", "scalars.csv")]
+    cli.write_csv(str(paths[0]), header, rows, meta)
+    cli.write_csv(str(paths[1]), header, rows.tolist(), meta)
+    cli.write_csv(str(paths[2]), header, [list(r) for r in rows], meta)
+    data = [p.read_bytes() for p in paths]
+    assert data[0] == data[1] == data[2]
+    lines = data[0].decode().splitlines()
+    assert lines[:3] == ["# a = x", "# b = 2", ",".join(header)]
+    assert len(lines) == 3 + rows.shape[0]
+
+
+def test_write_csv_float_path_in_chunks(tmp_path, monkeypatch):
+    # rows split over several chunks, the last one short, keep their order
+    rows = np.random.default_rng(4).standard_normal((11, 2)) * 1e3
+    cli.write_csv(str(tmp_path / "one.csv"), ["x", "y"], rows, {})
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 4)
+    cli.write_csv(str(tmp_path / "chunks.csv"), ["x", "y"], rows, {})
+    cli.write_csv(str(tmp_path / "values.csv"), ["x", "y"], rows.tolist(), {})
+    data = (tmp_path / "chunks.csv").read_bytes()
+    assert data == (tmp_path / "one.csv").read_bytes()
+    assert data == (tmp_path / "values.csv").read_bytes()
+
+
+def test_main_called_again_in_process(tmp_path):
+    # main reuses one parser; no option of a call reaches the next one
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 2\nmu = 1.5\npath_points = 24\npath_s_min = 2.0\n"
+                   "path_s_max = 40.0\ncap_theta_nodes = 8\nwindows = 2\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["--config", str(cfg), "--out", str(first), "--svg",
+                 "--seed", "5", "wavepacket"]) == 0
+    assert (first / "wavepacket_decay.svg").exists()
+    assert main(["--config", str(cfg), "--out", str(second), "wavepacket"]) == 0
+    assert not (second / "wavepacket_decay.svg").exists()
+    assert "# seed = 0\n" in (second / "wavepacket.csv").read_text()
+    assert main(["--out", str(second), "verify", "contract"]) == 0
+    assert (second / "verify_contract.csv").exists()
+    assert main(["--out", str(second), "--threads", "two", "planewave"]) == 2
+    assert main(["--out", str(second), "planewave"]) == 0
+    text = (second / "planewave.csv").read_text()
+    assert "# n = 2\n" in text and "# seed = 0\n" in text
+    assert len([l for l in text.splitlines() if not l.startswith("#")]) == 62
+    assert cli._parser() is cli._parser()

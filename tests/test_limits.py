@@ -121,6 +121,59 @@ def test_decay_fit_oscillating_envelope():
         assert abs(sl - 1.0) < 0.05
 
 
+def _decay_fit_loop(s_values, f_values, n_windows, bin_width):
+    """decay_fit's envelope path as one argmax per bin, in a Python loop."""
+    s, f = np.asarray(s_values, dtype=float), np.abs(np.asarray(f_values))
+    edges = np.geomspace(s.min(), s.max(), n_windows + 1)
+    slopes, residuals = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sel = (s >= lo) & (s <= hi)
+        if sel.sum() < 6:
+            continue
+        ss, ff = s[sel], f[sel]
+        nbins = max(3, int(round(math.log(hi / lo) / bin_width)))
+        which = np.digitize(ss, np.geomspace(lo, hi, nbins + 1))
+        ss_env, ff_env = [], []
+        for b in np.unique(which):
+            m = which == b
+            j = np.argmax(ff[m])
+            ss_env.append(ss[m][j])
+            ff_env.append(ff[m][j])
+        ss, ff = np.asarray(ss_env), np.asarray(ff_env)
+        good = ff > 0
+        if good.sum() < 3:
+            continue
+        coef, res = np.polyfit(np.log(ss[good]), np.log(ff[good]), 1, full=True)[:2]
+        slopes.append(float(-coef[0]))
+        residuals.append(float(res[0]) if len(res) else 0.0)
+    return slopes, residuals
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decay_fit_envelope_matches_per_bin_loop(monkeypatch, seed):
+    # unsorted s, |f| rounded so most bins hold tied maxima at different s:
+    # the same samples reach the fit, and the slopes agree bitwise
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(40, 400))
+    s = rng.permutation(np.exp(rng.uniform(0.5, 6.0, size)))
+    f = np.round(s ** -1.5 * (1.0 + np.abs(np.cos(4.0 * np.log(s)))), 3)
+    f = f * np.exp(1j * rng.uniform(0.0, 6.0, size))
+    bin_width = float(rng.uniform(0.05, 0.6))
+    fitted = []
+    polyfit = np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda x, y, *a, **k:
+                        fitted.append((x.copy(), y.copy())) or polyfit(x, y, *a, **k))
+    fit = decay_fit(s, f, n_windows=3, bin_width=bin_width)
+    new_inputs = fitted[:]
+    fitted.clear()
+    slopes, residuals = _decay_fit_loop(s, f, 3, bin_width)
+    assert len(new_inputs) == len(fitted) == len(slopes) > 0
+    for (x, y), (x_ref, y_ref) in zip(new_inputs, fitted):
+        assert np.array_equal(x, x_ref) and np.array_equal(y, y_ref)
+    assert fit.slopes == slopes
+    assert fit.residuals == residuals
+
+
 def test_single_wave_envelope_exponent():
     from dswave.planewave import HyperWave, radial_profile
     from dswave.specfun import HarmonicIndex

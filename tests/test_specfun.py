@@ -522,6 +522,32 @@ def test_gauss_rule_guards():
         specfun.gauss_rule(16, 5.0)
 
 
+def test_legendre_rule_read_only():
+    x, w = specfun._legendre_rule(16)
+    assert specfun._legendre_rule(16)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the cached rule is the one gauss_rule builds
+    x_ref, w_ref = specfun.gauss_rule(16)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("n", [3, 16, 48])
+def test_gauss_panels_bitwise_fresh_rule(n):
+    # panels from the cached rule equal panels built on a fresh gauss_rule,
+    # on the first call for n and on later ones
+    edges = np.array([-2.0, -0.5, 0.25, 3.0])
+    x, w = specfun.gauss_rule(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    for _ in range(2):
+        y, wy = specfun.gauss_panels(edges, n)
+        assert np.array_equal(y, (half * x + mid).ravel())
+        assert np.array_equal(wy, (half * w).ravel())
+        assert y.flags.writeable and wy.flags.writeable
+
+
 def test_gauss_panels_exact_per_interval():
     edges = [0.0, 1.0, 2.5, 3.0]
     y, wy = specfun.gauss_panels(edges, 3)

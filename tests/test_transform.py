@@ -222,6 +222,15 @@ def _band_profile(rho, center=1.75, sigma=0.18, halfwidth=0.72):
     return math.exp(-((rho - center) / sigma) ** 2 / 2.0)
 
 
+def test_grid_measure_cached(hyper_grid):
+    # beta weight x cosh^(n-1) beta x sphere weight, built once per grid
+    g = hyper_grid
+    ref = (g.beta_weights * np.cosh(g.beta_nodes) ** (g.sphere.n - 1))[:, None] \
+        * g.sphere.weights[None, :]
+    assert np.array_equal(g.measure, ref)
+    assert g.measure is g.measure
+
+
 def test_forward_zero_field(hyper_grid):
     F = np.zeros((hyper_grid.beta_nodes.size, hyper_grid.sphere.size),
                  dtype=complex)
