@@ -451,26 +451,35 @@ def mellin_forward(h, n: int, rho, s_window=(1e-6, 1e6), n_nodes: int = 400):
     """varpi(rho) = integral of h(s) s^{(n-1)/2 - i rho} ds/s on a window.
 
     Uniform trapezoid in v = log s, spectrally accurate once the weighted
-    integrand clears the window.  h must vectorize over s and may return
-    a batch of functions, shape (..., n_s) on the n_s nodes; the result
-    then has shape (..., n_rho), one product (H w) @ ker^T for the whole
-    batch.  rho may be an array.
+    integrand clears the window, which must satisfy 0 < s_lo < s_hi.
+    h must vectorize over s and may return a batch of functions, shape
+    (..., n_s) on the n_s nodes; the result then has shape (..., n_rho),
+    one product (H w) @ ker^T for the whole batch.  rho may be an array.
+    The trapezoid weights and e^{(n-1) v / 2} form one real vector w,
+    applied to the samples H.
     """
-    v = np.linspace(math.log(s_window[0]), math.log(s_window[1]), n_nodes)
-    dv = v[1] - v[0]
-    s = np.exp(v)
-    H = np.asarray(h(s), dtype=complex) * np.exp(0.5 * (n - 1) * v)
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    ker = np.exp(-1j * np.outer(rho, v))
-    w = np.full(n_nodes, dv)
+    s_lo, s_hi = s_window
+    if not 0.0 < s_lo < s_hi:
+        raise ValueError(f"s_window must satisfy 0 < s_lo < s_hi, got {s_window}")
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
+    v = np.linspace(math.log(s_lo), math.log(s_hi), n_nodes)
+    w = np.exp(0.5 * (n - 1) * v) * (v[1] - v[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    return (H * w) @ ker.T
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    return ((np.asarray(h(np.exp(v)), dtype=complex) * w)
+            @ np.exp(-1j * np.outer(v, rho)))
 
 
 def mellin_inverse(varpi, n: int, s, rho_window=(-40.0, 40.0),
                    n_nodes: int = 2000):
-    """h(s) = (1/2 pi) integral of varpi(rho) s^{-(n-1)/2 + i rho} drho."""
+    """h(s) = (1/2 pi) integral of varpi(rho) s^{-(n-1)/2 + i rho} drho,
+    by the trapezoid rule on rho_lo < rho_hi."""
+    if not rho_window[0] < rho_window[1]:
+        raise ValueError(f"rho_window must satisfy rho_lo < rho_hi, got {rho_window}")
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
     rho = np.linspace(rho_window[0], rho_window[1], n_nodes)
     dr = rho[1] - rho[0]
     P = np.asarray(varpi(rho), dtype=complex)
@@ -494,6 +503,9 @@ _POLE_CELLS = 6
 _FIT_CELLS = 18
 _FIT_DEGREE = 8
 _FILON_CELLS = 48
+# the fit columns' offsets from the pole
+_FIT_OFF = np.array([k for k in range(-_FIT_CELLS, _FIT_CELLS + 1)
+                     if abs(k) > _POLE_CELLS])
 
 
 @dataclass(frozen=True)
@@ -512,8 +524,13 @@ class ConeGrid:
     def __post_init__(self):
         if self.n != 2:
             raise UnsupportedCaseError("cone transform implemented for n = 2")
-        if self.n_theta % 2:
-            raise ValueError("n_theta must be even")
+        if self.n_theta < 2 or self.n_theta % 2:
+            raise ValueError(f"n_theta must be even and at least 2, got {self.n_theta}")
+        if self.n_s < 2:
+            raise ValueError(f"n_s must be at least 2, got {self.n_s}")
+        if not 0.0 < self.s_window[0] < self.s_window[1]:
+            raise ValueError("s_window must satisfy 0 < s_lo < s_hi, "
+                             f"got {self.s_window}")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -580,17 +597,18 @@ def intertwiner_symbol(grid: ConeGrid, rho, forward: bool,
     (2 cos^2(u/2))^E (sector -1) has Fourier integrals
     [phase (-1)^j or 1] * 2^{-E} 2 pi Gamma(1+2E)/(Gamma(1+E+j)Gamma(1+E-j)),
     the exponent continuation of the classical |1 - e^{iu}|^{2s} expansion.
-    The value depends on |j| only.  One log-Gamma pair per rho gives
-    j = 0, and the ratio lam_{j+1} / lam_j = (E - j) / (1 + E + j)
-    (DLMF 5.5.1) gives every other |j| by one cumulative product along j,
-    for all rho at once.  A scalar rho returns shape (n_j,), a 1-D rho
-    (n_j, n_rho).
+    The value depends on |j| only.  One ln_gamma call over the stacked
+    arguments [1 + 2E, 1 + E] gives j = 0 for every rho, and the ratio
+    lam_{j+1} / lam_j = (E - j) / (1 + E + j) (DLMF 5.5.1) gives every
+    other |j| by one cumulative product along j, for all rho at once.  A
+    scalar rho returns shape (n_j,), a 1-D rho (n_j, n_rho).
     """
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
     aj = np.abs(np.atleast_1d(np.asarray(j, dtype=int)))
     k = np.arange(aj.max(initial=0))
     lam = np.empty((E.shape[0], k.size + 1), dtype=complex)
-    lg0 = specfun.ln_gamma(1 + 2 * E) - 2 * specfun.ln_gamma(1 + E)
+    lg2, lg1 = specfun.ln_gamma(np.stack([1 + 2 * E, 1 + E]))
+    lg0 = lg2 - 2 * lg1
     lam[:, :1] = 2.0 ** (-E) * 2.0 * math.pi * np.exp(lg0)
     lam[:, 1:] = lam[:, :1] * np.cumprod((E - k) / (1 + E + k), axis=1)
     lam = lam[:, aj]
@@ -616,12 +634,17 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     handled by an analytic pole window where the smooth factor is fitted
     from nearby columns and the |u|^{2E+k} moments integrated in closed
     form, continued in the exponent (Re(2E+1) = 0 at n = 2 is the
-    borderline homogeneity).  It serves as the independent check of the
-    symbol, and needs the 2 _FIT_CELLS + 1 fit columns around the pole to
-    fit on the circle without wrapping.  Past that guard the fit limits its
-    resolution, with no error raised: modes j <= 3 are off the symbol by up
-    to 2.4e-2 at n_theta = 64, 2.2e-3 at 96, 8.4e-4 at 128 and 2.3e-4 at
-    256, so j = 3 is worse than 2e-3 below n_theta of about 96.
+    borderline homogeneity).  Every power x^E is exp(E log x) from the real
+    logs of |a| and of the cell edges, taken once per call, and the kernel's
+    own samples weight only the cells past the product-integrated flanks.
+    The fit's pseudo-inverse is taken in the offsets k / _FIT_CELLS, so it
+    does not depend on n_theta.  It never calls intertwiner_symbol or
+    ln_gamma, so it serves as the independent check of the symbol.  It
+    needs the 2 _FIT_CELLS + 1 fit columns around the pole to fit on the
+    circle without wrapping.  Past that guard the fit
+    limits its resolution, with no error raised: modes j <= 3 are off the
+    symbol by up to 2.4e-2 at n_theta = 64, 2.2e-3 at 96, 8.4e-4 at 128 and
+    2.3e-4 at 256, so j = 3 is worse than 2e-3 below n_theta of about 96.
     """
     if method not in ("direct", "spectral"):
         raise ValueError(f"method must be 'direct' or 'spectral', got {method!r}")
@@ -639,31 +662,32 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     if np.any(2 * E + 1.0 == 0):
         # the pole-window moment of |u|^{2E} diverges, as Gamma(1+2E) does
         raise PoleError("method 'direct' is singular at rho = 0 (2E + 1 = 0)")
-    offs = np.arange(nt) * dth
-    a = -sector + np.cos(offs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ker = np.where(a > 0, 1.0 + 0.0j, phase) * np.abs(a) ** E
-    ker = np.nan_to_num(ker, nan=0.0)
+    # a = -sector + cos(dtheta) keeps one sign on the whole circle (a <= 0 in
+    # sector +1, a >= 0 in sector -1), so the kernel is branch * |a|^E with
+    # one branch factor (the Theta phase in sector +1), applied to the
+    # eigenvalues at the end
     pole_at = 0 if sector == 1 else nt // 2
-    branch = phase if sector == 1 else 1.0 + 0.0j
-
-    w = _POLE_CELLS * dth + 0.5 * dth  # window edge between cells
-    row = ker * dth
-    # zero out the window cells (pole cell and _POLE_CELLS neighbours each side)
-    row[:, (pole_at + np.arange(-_POLE_CELLS, _POLE_CELLS + 1)) % nt] = 0.0
+    span = min(_FILON_CELLS, nt // 2 - 1)
+    # the window cells (pole cell and _POLE_CELLS neighbours each side) stay
+    # zero and the flank cells are filled below: the kernel's own samples
+    # weight only the cells past the flanks
+    far = (pole_at + np.arange(span + 1, nt - span)) % nt
+    row = np.zeros((E.shape[0], nt), dtype=complex)
+    row[:, far] = np.exp(E * np.log(np.abs(-sector + np.cos(far * dth)))) * dth
 
     # product integration on the cells flanking the window: |u|^{2E}
     # oscillates in log u too fast there for plain midpoint weights, so the
     # kernel mass and first moment of each cell are integrated in closed
-    # form, with the input's node value and central-difference slope
-    span = min(_FILON_CELLS, nt // 2 - 1)
+    # form, with the input's node value and central-difference slope.  Cell
+    # k spans the edges (k -+ 1/2) dth; the first edge is the window edge w
     k = np.arange(_POLE_CELLS + 1, span + 1)
     u_k = k * dth
-    lo, hi = (k - 0.5) * dth, (k + 0.5) * dth
-    mass = (hi ** (2 * E + 1.0) - lo ** (2 * E + 1.0)) / (2 * E + 1.0)
-    mom1 = ((hi ** (2 * E + 2.0) - lo ** (2 * E + 2.0)) / (2 * E + 2.0)
+    edges = (np.arange(_POLE_CELLS, span + 1) + 0.5) * dth
+    p1 = np.exp((2 * E + 1.0) * np.log(edges))  # edges^{2E+1}
+    mass = (p1[:, 1:] - p1[:, :-1]) / (2 * E + 1.0)
+    mom1 = ((p1[:, 1:] * edges[1:] - p1[:, :-1] * edges[:-1]) / (2 * E + 2.0)
             - u_k * mass)
-    scale = branch * np.exp(E * np.log(2.0 * np.sin(u_k / 2.0) ** 2 / u_k**2))
+    scale = np.exp(E * np.log(2.0 * np.sin(u_k / 2.0) ** 2 / u_k**2))
     grads = np.zeros(row.shape, dtype=complex)
     for sgn in (1, -1):
         row[:, (pole_at + sgn * k) % nt] = scale * mass
@@ -677,47 +701,49 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     # pole-window correction: fit g(u) from the _FIT_CELLS nearest columns on
     # each side (outside the window), integrate g(u) q(u)^E |u|^{2E} over
     # |u| <= w with q(u) = 2 sin^2(u/2)/u^2
-    fit_off = np.array([k for k in range(-_FIT_CELLS, _FIT_CELLS + 1)
-                        if abs(k) > _POLE_CELLS])
-    u_fit = fit_off * dth
-    q = 2.0 * np.sin(np.abs(u_fit) / 2.0) ** 2 / u_fit**2
-    qE = np.exp(E * np.log(q))
-    scale = _FIT_CELLS * dth
-    V = np.vander(u_fit / scale, _FIT_DEGREE + 1, increasing=True)
-    P = np.linalg.pinv(V)  # coefficients = P @ g_samples
-    # moments integral |u|^{2E} (u/scale)^k over (-w, w): odd k vanish
+    u_fit = _FIT_OFF * dth
+    qE = np.exp(E * np.log(2.0 * np.sin(np.abs(u_fit) / 2.0) ** 2 / u_fit**2))
+    # moments integral |u|^{2E} (u / (_FIT_CELLS dth))^k over (-w, w): odd k
+    # vanish, and w^{2E+k+1} = w^{2E+1} w^k
+    w = edges[0]
     mom = np.zeros((E.shape[0], _FIT_DEGREE + 1), dtype=complex)
     ke = np.arange(0, _FIT_DEGREE + 1, 2)
-    mom[:, ke] = 2.0 * w ** (2.0 * E + ke + 1.0) / ((2.0 * E + ke + 1.0) * scale**ke)
+    mom[:, ke] = (2.0 * p1[:, :1] * (w / (_FIT_CELLS * dth)) ** ke
+                  / (2.0 * E + ke + 1.0))
     # weights applied to the sampled columns; q^E folds into the fit samples
-    row[:, (pole_at + fit_off) % nt] += branch * (mom @ P) * qE
-    return _rho_layout(rho, nt * np.fft.ifft(row, axis=1))
+    P = np.linalg.pinv(np.vander(_FIT_OFF / _FIT_CELLS, _FIT_DEGREE + 1,
+                                 increasing=True))  # coefficients = P @ g
+    row[:, (pole_at + _FIT_OFF) % nt] += (mom @ P) * qE
+    eigs = nt * np.fft.ifft(row, axis=1)
+    if sector == 1:
+        eigs *= phase
+    return _rho_layout(rho, eigs)
 
 
 def _sheet_eigs(grid: ConeGrid, rho_nodes: np.ndarray, forward: bool,
                 method: str) -> dict:
     """sector -> intertwiner eigenvalues at every rho node, shape
-    (n_theta, n_rho).  method "direct" makes one call per sector.  The
-    "spectral" symbol depends on |j| only, so its table is built once:
-    sector -1 is that table, and sector +1 is phase (-1)^|j| times it."""
-    if method != "spectral":
-        return {sec: _intertwiner_eigs(grid, rho_nodes, forward, sec, method)
-                for sec in (1, -1)}
+    (n_theta, n_rho), from one _intertwiner_eigs call (sector -1) for
+    either method.  The sector +1 kernel is the sector -1 kernel turned by
+    pi times the Theta phase, for the symbol and for every piece of the
+    direct quadrature (the pole window, flanks and fit sit relative to the
+    pole), so sector +1 is phase (-1)^|j| times the sector -1 table."""
+    lam = _intertwiner_eigs(grid, rho_nodes, forward, -1, method)
     j = np.fft.fftfreq(grid.n_theta, d=1.0 / grid.n_theta).astype(int)
-    lam = intertwiner_symbol(grid, rho_nodes, forward, -1, j)
     phase = _intertwiner_exponent_phase(grid, rho_nodes, forward)[1]
     return {1: _rho_layout(rho_nodes, phase * (-1.0) ** np.abs(j)) * lam,
             -1: lam}
 
 
-def _apply_sheets(eigs: dict, sheets: dict) -> dict:
+def _apply_sheets(eigs: dict, sheets: np.ndarray) -> np.ndarray:
     """out[b] = sum over a of A_{a b} sheets[a], columnwise in rho, with
     A_{a b} the intertwiner of sector a b: both sheets a = +-1 enter with
-    weight one (the unsigned sum).  One fft per input sheet along theta,
-    one ifft per output sheet."""
-    spec = {a: np.fft.fft(sheets[a], axis=0) for a in (1, -1)}
-    return {b: np.fft.ifft(eigs[b] * spec[1] + eigs[-b] * spec[-1], axis=0)
-            for b in (1, -1)}
+    weight one (the unsigned sum).  sheets and the result are stacked in
+    sheet order (+1, -1), shape (2, n_theta, n_rho): one fft along theta
+    for both input sheets, one ifft for both output sheets."""
+    spec = np.fft.fft(sheets, axis=1)
+    return np.fft.ifft(np.stack([eigs[b] * spec[0] + eigs[-b] * spec[1]
+                                 for b in (1, -1)]), axis=1)
 
 
 def cone_fourier_forward(h: ConeFunction, rho_nodes,
@@ -730,25 +756,27 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
     Both t' = +-1 sheets enter the sum with weight one, the convention the
     round trip and the parity identities confirm.  The signed reading,
     which weights the t' = -1 sheet by -1, is this transform of t' h.
-    Each sheet's h values on all directions fill one (n_theta, n_s) array,
-    which goes through one batched Mellin call.  method "spectral" applies
-    the exact intertwiner symbol, "direct" its independent node-exclusion
-    quadrature (see _intertwiner_eigs).
+    The h values of both sheets on all directions fill one
+    (2, n_theta, n_s) array, which goes through one Mellin call, so the
+    Mellin kernel is built once.  method "spectral" applies the exact
+    intertwiner symbol, "direct" its independent node-exclusion quadrature
+    (see _intertwiner_eigs).
     """
     grid = grid or ConeGrid(n=h.n, s_window=h.s_window)
     rho_nodes = np.asarray(rho_nodes, dtype=float)
     eigs = _sheet_eigs(grid, rho_nodes, True, method)
     dirs = grid.directions()
-    varpi = {}
-    for tprime in (1, -1):
-        def sheet(s, tprime=tprime):
-            out = np.empty((len(dirs),) + s.shape, dtype=complex)
-            for row, d in zip(out, dirs):
+
+    def sheets(s):
+        out = np.empty((2, len(dirs)) + s.shape, dtype=complex)
+        for tprime, block in zip((1, -1), out):
+            for row, d in zip(block, dirs):
                 row[...] = h(s, tprime, d)
-            return out
-        varpi[tprime] = mellin_forward(sheet, grid.n, rho_nodes,
-                                       grid.s_window, grid.n_s)
-    return ConeSpectrum(grid, rho_nodes, _apply_sheets(eigs, varpi))
+        return out
+
+    varpi = mellin_forward(sheets, grid.n, rho_nodes, grid.s_window, grid.n_s)
+    psi = _apply_sheets(eigs, varpi)
+    return ConeSpectrum(grid, rho_nodes, {1: psi[0], -1: psi[1]})
 
 
 def _d_abs_sq_signed(n: int, j: int, k: int, rho):
@@ -774,16 +802,20 @@ def cone_fourier_inverse(psi: ConeSpectrum, rho_weights,
     the signed reading is this inverse of the spectrum tau' psi(tau', .).
     At n = 2 |d| does not depend on the (j, k) sector.  The rho grid may
     cover both half lines or a band on one of them.  method is as in
-    cone_fourier_forward.  Returns tauprime -> (n_s, n_theta): per sheet,
-    one (n_s x n_rho) @ (n_rho x n_theta) product.
+    cone_fourier_forward.  Returns tauprime -> (n_s, n_theta), both sheets
+    from one (n_s x n_rho) @ (n_rho x 2 n_theta) product.
     """
     grid = psi.grid
     rho_nodes = psi.rho_nodes
     rho_weights = np.asarray(rho_weights, dtype=float)
     eigs = _sheet_eigs(grid, rho_nodes, False, method)
-    acc = _apply_sheets(eigs, psi.values)
+    acc = _apply_sheets(eigs, np.stack([psi.values[1], psi.values[-1]]))
     d2 = _d_abs_sq_signed(grid.n, 0, 0, rho_nodes)
-    # (n_s, n_rho): s^{-(n-1)/2 + i rho} w |d|^2 / 2 pi
-    radial = (grid.s_nodes[:, None] ** (-0.5 * (grid.n - 1) + 1j * rho_nodes)
-              * (rho_weights * d2 / (2.0 * math.pi)))
-    return {tprime: radial @ acc[tprime].T for tprime in (1, -1)}
+    # (n_s, n_rho): s^{-(n-1)/2} w |d|^2 / 2 pi, times e^{i rho log s}
+    logs = np.log(grid.s_nodes)
+    radial = (np.outer(np.exp(-0.5 * (grid.n - 1) * logs),
+                       rho_weights * d2 / (2.0 * math.pi))
+              * np.exp(1j * np.outer(logs, rho_nodes)))
+    nt = grid.n_theta
+    h = radial @ acc.reshape(2 * nt, -1).T
+    return {1: h[:, :nt], -1: h[:, nt:]}

@@ -570,20 +570,42 @@ def test_mellin_scaling_covariance():
 
 
 def test_mellin_forward_batched_matches_rows():
-    # an h returning (k, n_s) gives the k one-row transforms
+    # an h returning (k, n_s) gives the k one-row transforms, for more rows
+    # than rho values and for fewer
     n = 2
-    shifts = np.array([-1.0, 0.0, 0.5, 2.0])
-    rho = np.array([0.3, 1.1, 2.7])
+    rng = np.random.default_rng(5)
+    cases = [(np.array([-1.0, 0.0, 0.5, 2.0]), np.array([0.3, 1.1, 2.7])),
+             (rng.uniform(-2.0, 2.0, 30), rng.uniform(-4.0, 4.0, 3)),
+             (np.array([0.4]), rng.uniform(-4.0, 4.0, 50))]
 
     def row(sv, c):
         return np.exp(-(np.log(sv) - c) ** 2) * (1.0 + 0.5j * np.sin(np.log(sv)))
 
-    batch = mellin_forward(lambda sv: np.stack([row(sv, c) for c in shifts]),
-                           n, rho, (1e-6, 1e6), 600)
-    assert batch.shape == (shifts.size, rho.size)
-    for i, c in enumerate(shifts):
-        one = mellin_forward(lambda sv: row(sv, c), n, rho, (1e-6, 1e6), 600)
-        assert_allclose(batch[i], one, rtol=1e-13)
+    for shifts, rho in cases:
+        batch = mellin_forward(lambda sv: np.stack([row(sv, c) for c in shifts]),
+                               n, rho, (1e-6, 1e6), 600)
+        assert batch.shape == (shifts.size, rho.size)
+        for i, c in enumerate(shifts):
+            one = mellin_forward(lambda sv: row(sv, c), n, rho, (1e-6, 1e6), 600)
+            assert_allclose(batch[i], one, rtol=1e-13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: mellin_forward(h, 2, [0.5], (1e4, 1e-4), 200),
+    lambda h: mellin_forward(h, 2, [0.5], (1e-4, 1e-4), 200),
+    lambda h: mellin_forward(h, 2, [0.5], (0.0, 1e4), 200),
+    lambda h: mellin_forward(h, 2, [0.5], (-1.0, 1e4), 200),
+    lambda h: mellin_forward(h, 2, [0.5], (1e-4, 1e4), 1),
+    lambda h: mellin_inverse(lambda r: h(np.exp(r)), 2, [1.0], (40.0, -40.0), 200),
+    lambda h: mellin_inverse(lambda r: h(np.exp(r)), 2, [1.0], (3.0, 3.0), 200),
+    lambda h: mellin_inverse(lambda r: h(np.exp(r)), 2, [1.0], (-40.0, 40.0), 1),
+], ids=["fwd-reversed", "fwd-empty", "fwd-zero-lo", "fwd-negative-lo",
+        "fwd-one-node", "inv-reversed", "inv-empty", "inv-one-node"])
+def test_mellin_rejects_degenerate_windows(call):
+    # a reversed window used to flip the sign of the result silently
+    h = lambda sv: np.exp(-np.log(sv) ** 2)
+    with pytest.raises(ValueError):
+        call(h)
 
 
 # -------------------------------------------------------------- cone pair
@@ -752,6 +774,35 @@ def test_spectral_sheet_eigs_match_per_sector_calls(forward):
         assert np.array_equal(eigs[sector], one)
 
 
+@pytest.mark.parametrize("n_theta", [38, 64, 128, 256])
+@pytest.mark.parametrize("forward", [True, False])
+def test_direct_sheet_eigs_match_per_sector_calls(n_theta, forward):
+    # sector +1 of the direct quadrature is derived from sector -1 by the
+    # half-turn symmetry; its own direct call places the pole window, flanks
+    # and fit at dtheta = 0 and agrees to rounding
+    grid = ConeGrid(n=2, n_theta=n_theta)
+    rho = np.array([0.4, -1.1, 2.7, -0.35, 6.0, 1.9])
+    eigs = transform._sheet_eigs(grid, rho, forward, "direct")
+    for sector in (1, -1):
+        one = _intertwiner_eigs(grid, rho, forward, sector, "direct")
+        assert eigs[sector].shape == one.shape == (n_theta, rho.size)
+        err = np.max(np.abs(eigs[sector] - one), axis=0)
+        assert np.all(err <= 2e-14 * np.max(np.abs(one), axis=0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_theta": 0}, {"n_theta": -4}, {"n_theta": 7}, {"n_s": 1}, {"n_s": 0},
+    {"s_window": (1e3, 1e-3)}, {"s_window": (1.0, 1.0)},
+    {"s_window": (0.0, 1e3)}, {"s_window": (-1e-3, 1e3)}],
+    ids=["n_theta-0", "n_theta-negative", "n_theta-odd", "n_s-1", "n_s-0",
+         "s_window-reversed", "s_window-empty", "s_window-zero-lo",
+         "s_window-negative-lo"])
+def test_cone_grid_rejects_degenerate(kwargs):
+    # a reversed s_window used to return -psi from the forward transform
+    with pytest.raises(ValueError):
+        ConeGrid(n=2, **kwargs)
+
+
 def test_intertwiner_eigs_guards_with_rho_array():
     rho = np.array([0.8, -1.5])
     with pytest.raises(UnsupportedCaseError, match="n_theta >= 38"):
@@ -774,13 +825,24 @@ def _dense_circulant(eigs):
     return np.fft.ifft(eigs)[(i[:, None] - i[None, :]) % n]
 
 
-@pytest.mark.parametrize("method", ["spectral", "direct"])
-def test_cone_pair_matches_dense_reference(method):
+_RHO_24, _RHO_W_24 = roots_legendre(24)
+
+
+@pytest.mark.parametrize("method,n_theta,rho_nodes,rho_w", [
+    pytest.param("spectral", 64, [0.6, 1.4, 2.3], [0.3, 0.5, 0.4],
+                 id="spectral"),
+    pytest.param("direct", 64, [0.6, 1.4, 2.3], [0.3, 0.5, 0.4], id="direct"),
+    # the benchmark's cone sizes: 128 directions, 24 rho nodes
+    pytest.param("spectral", 128, 1.6 * _RHO_24 + 1.9, 1.6 * _RHO_W_24,
+                 id="spectral-128x24"),
+    pytest.param("direct", 128, 1.6 * _RHO_24 + 1.9, 1.6 * _RHO_W_24,
+                 id="direct-128x24")])
+def test_cone_pair_matches_dense_reference(method, n_theta, rho_nodes, rho_w):
     # the loop form of the pair: a dense circulant per rho and sector, one
     # Mellin call per direction, rank-one updates per rho in the inverse
-    grid = ConeGrid(n=2, n_theta=64, s_window=(1e-3, 1e3), n_s=160)
-    rho_nodes = np.array([0.6, 1.4, 2.3])
-    rho_w = np.array([0.3, 0.5, 0.4])
+    grid = ConeGrid(n=2, n_theta=n_theta, s_window=(1e-3, 1e3), n_s=160)
+    rho_nodes = np.asarray(rho_nodes)
+    rho_w = np.asarray(rho_w)
     dirs = grid.directions()
 
     def hfun(s, tp, xp):
