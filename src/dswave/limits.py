@@ -18,7 +18,7 @@ from . import specfun
 from .errors import AccuracyError, OnSingularSurfaceError, PoleError
 from .geometry import (HoroChart, SpacetimeConfig, central_differences, from_horo,
                        minkowski_dot)
-from .planewave import AmbientWave, principal_mass, psi_ambient
+from .planewave import AmbientWave, principal_mass, psi_ambient, radial_table
 
 __all__ = [
     "minkowski_covector",
@@ -313,8 +313,6 @@ def spectral_smearing_contrast(n: int = 2, rho_center: float = 2.5,
     envelope-normalized modulus |f| e^{(n-1)beta/2}: constant for the
     sharp packet, decaying ever faster with the smearing width.
     """
-    from .planewave import radial_table
-
     betas = np.linspace(beta_span[0], beta_span[1], n_beta)
     nodes, wts = specfun.gauss_rule(48)
     bump = np.exp(1.0 - 1.0 / (1.0 - nodes**2))
@@ -356,8 +354,15 @@ def _bessel_product_series(eta: float, nu: float, terms: int = 24) -> np.ndarray
 _HANKEL_Y0 = 40.0
 _HANKEL_Y0_MAX = 640.0
 _HANKEL_TOL = 1e-15
-# the series panel's e^{-eps y_split} underflows past eps y_split = 700
+# bessel_pair_integral: the series panel covers [0, _Y_SPLIT], Gauss-Legendre
+# panels of _PANEL_NODES nodes and width about _PANEL_WIDTH cover [_Y_SPLIT,
+# Y0]; the series panel's e^{-eps _Y_SPLIT} underflows past eps _Y_SPLIT = 700
+_Y_SPLIT = 2.0
+_PANEL_WIDTH = math.pi / 2.0
+_PANEL_NODES = 16
 _SERIES_PANEL_X_MAX = 700.0
+# appendix_d_oracle raises AccuracyError above this leave-one-out spread
+_EXTRAPOLATION_SPREAD_MAX = 5e-4
 
 
 def _hankel_terms(eta: float) -> tuple[float, np.ndarray, float]:
@@ -415,21 +420,19 @@ def _hankel_tail(eta: float, nu: float, rho: float,
                                                          axis=(0, 1))
 
 
-def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
-                         y_split: float = 2.0, panel: float = math.pi / 2.0,
-                         n_nodes: int = 16) -> complex | np.ndarray:
+def bessel_pair_integral(n: int, j: int, k: int, rho: float,
+                         eps) -> complex | np.ndarray:
     """Regularized integral I(eps) of y^{i rho} J_eta(y) J_nu(y) e^{-eps y}.
 
     eta = (n + 2j - 2)/2 and nu = -1/2 (k even) or +1/2 (k odd).  The
-    integral splits at y_split and at a cut Y0 = 40:
+    integral splits at y = 2 and at a cut Y0 = 40:
 
-    * [0, y_split]: the power series of J_eta J_nu, each term of which
+    * [0, 2]: the power series of J_eta J_nu, each term of which
       integrates against y^{i rho} e^{-eps y} to a lower incomplete Gamma
       function, specfun.gamma_lower_scaled (DLMF 8.7.1; it handles the
-      oscillation of y^{i rho} at the origin; eps * y_split above 700,
-      where e^{-eps y_split} underflows, raises AccuracyError);
-    * [y_split, Y0]: Gauss-Legendre panels of width about `panel` with
-      n_nodes nodes;
+      oscillation of y^{i rho} at the origin; eps above 350, where
+      e^{-2 eps} underflows, raises AccuracyError);
+    * [2, Y0]: Gauss-Legendre panels of width about pi/2 with 16 nodes;
     * [Y0, inf): the Hankel expansion of J_eta (DLMF 10.17.3; J_{+-1/2} is
       its one-term case), each term of which integrates in closed form to
       an upper incomplete Gamma function (DLMF 8.2.2), evaluated by
@@ -443,7 +446,7 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
 
     eps is a positive finite scalar (the result is a complex) or a 1-D
     array (one value per eps, in input order); the Bessel values on
-    [y_split, Y0] are shared by every eps.  rho <= 0 raises PoleError
+    [2, Y0] are shared by every eps.  rho <= 0 raises PoleError
     (the Gamma(i rho) of the eps^{-i rho} tail has its pole at 0); n < 2,
     j < 0 or k < 0 raise ValueError.
     """
@@ -461,8 +464,6 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
     eta = 0.5 * (n + 2 * j - 2)
     nu = 0.5 if k % 2 else -0.5
     y0, val = _hankel_tail(eta, nu, rho, eps_vec)
-    if not 0.0 < y_split < y0:
-        raise ValueError(f"y_split must lie in (0, {y0:g}), got {y_split}")
     # series panel: J_eta J_nu = sum_p a_p (y/2)^{w_p - 1 - i rho} with
     # w_p = eta+nu+2p+1+i rho, and int_0^Y y^{w-1} e^{-eps y} dy =
     # Y^w x^{-w} gamma(w, x) at x = eps Y; unlike the Taylor series of
@@ -470,15 +471,16 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float, eps,
     a_p = _bessel_product_series(eta, nu)
     base = eta + nu + 2.0 * np.arange(a_p.size)
     w = base + 1.0 + 1j * rho
-    x = eps_vec * y_split
+    x = eps_vec * _Y_SPLIT
     if x.max() > _SERIES_PANEL_X_MAX:
-        raise AccuracyError(f"eps*y_split = {x.max():g} above "
+        raise AccuracyError(f"eps*{_Y_SPLIT:g} = {x.max():g} above "
                             f"{_SERIES_PANEL_X_MAX:g}: e^(-eps y) underflows")
     lower = specfun.gamma_lower_scaled(w[:, None], x[None, :])
-    val += np.sum((a_p * 2.0 ** (-base) * y_split ** w)[:, None] * lower, axis=0)
-    # Gauss panels on [y_split, Y0]
+    val += np.sum((a_p * 2.0 ** (-base) * _Y_SPLIT ** w)[:, None] * lower, axis=0)
+    # Gauss panels on [_Y_SPLIT, Y0]
     yy, wy = specfun.gauss_panels(
-        np.linspace(y_split, y0, math.ceil((y0 - y_split) / panel) + 1), n_nodes)
+        np.linspace(_Y_SPLIT, y0, math.ceil((y0 - _Y_SPLIT) / _PANEL_WIDTH) + 1),
+        _PANEL_NODES)
     g = wy * yy ** (1j * rho) * specfun.bessel_j(eta, yy) * specfun.bessel_j(nu, yy)
     val += np.sum(np.exp(-eps_vec[:, None] * yy) * g, axis=1)
     return complex(val[0]) if eps_arr.ndim == 0 else val
@@ -504,8 +506,7 @@ def _extrapolate(A: np.ndarray, vals: np.ndarray) -> tuple[complex, float]:
 
 
 def appendix_d_oracle(n: int, j: int, k: int, rho: float,
-                      eps_values=None, fit_order: int = 3,
-                      rel_check: float = 5e-4) -> float:
+                      eps_values=None, fit_order: int = 3) -> float:
     """|d(rho)| from the intertwiner integrals, independent of the formula.
 
     The regularized Bessel-pair integral I(eps) contains a bounded
@@ -518,7 +519,7 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
     leave-one-out fits are one stacked solve (_extrapolate).
 
     Raises AccuracyError when the extrapolation is unstable (leave-one-out
-    spread above rel_check); bessel_pair_integral raises PoleError for
+    spread above 5e-4); bessel_pair_integral raises PoleError for
     rho <= 0 and ValueError for a sector outside n >= 2, j >= 0, k >= 0 or
     an eps that is not positive and finite.
     """
@@ -531,7 +532,7 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
         cols.append(eps ** m)
         cols.append(eps ** (m - 1j * rho))
     full, spread = _extrapolate(np.array(cols).T, vals)
-    if spread > rel_check:
+    if spread > _EXTRAPOLATION_SPREAD_MAX:
         raise AccuracyError(f"eps-extrapolation unstable: spread {spread:.2e}")
     gam = math.exp(specfun.ln_gamma(0.5 * (n - 1) + 1j * rho).real)
     return gam * math.exp(0.5 * math.pi * rho) / (

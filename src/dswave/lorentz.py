@@ -234,24 +234,20 @@ def contract_scale(basis: dict[str, np.ndarray], R: float) -> dict[str, np.ndarr
     return out
 
 
-def _scaled_ds_basis(cfg: SpacetimeConfig, R: float) -> tuple[list[str], list[np.ndarray]]:
-    """Ordered contracted basis: so(1,n-1) block, then a' and the n'_i."""
+def _scaled_ds_basis(cfg: SpacetimeConfig, R: float) -> list[np.ndarray]:
+    """Ordered contracted basis: so(1,n-1) block (J_ij, then K_i), then a'
+    and the n'_i."""
     n = cfg.n
-    names: list[str] = []
     mats: list[np.ndarray] = []
     for i in range(1, n):
         for j in range(i + 1, n):
-            names.append(f"J{i}{j}")
             mats.append(_M(n, i, j))
     for i in range(1, n):
-        names.append(f"K{i}")
         mats.append(_M(n, i, 0))
-    names.append("a")
     mats.append(generator(cfg, "iwasawa_a") / R)
     for i in range(1, n):
-        names.append(f"n{i}")
         mats.append(generator(cfg, "iwasawa_n", i) / R)
-    return names, mats
+    return mats
 
 
 def _poincare_basis(n: int) -> list[np.ndarray]:
@@ -306,8 +302,7 @@ def poincare_residual(cfg: SpacetimeConfig, R: float) -> float:
     compared entrywise with the Poincare table generated from the affine
     representation; the result decays like 1/R.
     """
-    _, ds = _scaled_ds_basis(cfg, R)
-    C_ds = _structure_table(ds)
+    C_ds = _structure_table(_scaled_ds_basis(cfg, R))
     C_p = _structure_table(_poincare_basis(cfg.n))
     return float(np.max(np.abs(C_ds - C_p)))
 

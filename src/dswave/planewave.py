@@ -17,9 +17,11 @@ prefactor's: that pairing is the one that solves the radial equation, as the
 residual engines below verify.  The mirrored pairing (+i rho inside a, b)
 is (cosh beta)^{2 i rho} conj(V), since K is real; ode_variant_report
 builds it that way for comparison.  radial_table holds the
-one copy of the radial factor: one specfun 2F1 call over every (rho, top
-label) pair it is asked for; radial_profile is its one-point call.  The
-large-beta constants come from specfun.connection_gammas.
+one copy of the radial factor: one call of specfun.gauss_2f1_array, the
+one 2F1 entry point, over every (rho, top label) pair it is asked for:
+it scales the values and returns the worst of the digits lost.
+radial_profile is its one-point call.  The large-beta constants come from
+specfun.connection_gammas.
 """
 
 from __future__ import annotations
@@ -198,8 +200,8 @@ def radial_table(n: int, alpha: int, rhos, tops, beta):
             f"|beta| = {np.max(ab):g} too large: sech^2 underflows")
     log_cosh = ab + np.log1p(e) - np.log(2.0)
     K = specfun.norm_K(alpha, n, tops, rhos)
-    f, lost = specfun._gauss_2f1(*_params_2f1(n, alpha, rhos, tops),
-                                 np.tanh(ab) ** 2, one_minus_v=w)
+    f, lost = specfun.gauss_2f1_array(*_params_2f1(n, alpha, rhos, tops),
+                                      np.tanh(ab) ** 2, one_minus_v=w)
     f *= np.exp((-0.5 * (n - 1) + 1j * rhos[:, :, None]) * log_cosh)
     # V owns its buffer, shape (n_rho, n_top) + beta.shape
     V = np.take(f, back.reshape(beta.shape), axis=2)

@@ -1,5 +1,5 @@
-"""Special-function kernel: complex log-Gamma, Gauss 2F1, Legendre/Gegenbauer
-functions, hyperspherical harmonics, Bessel J, the normalization
+"""Special-function kernel: complex log-Gamma, Gauss 2F1, Gegenbauer
+polynomials, hyperspherical harmonics, Bessel J, the normalization
 constants of the hyperbolic plane waves and of the cone intertwiner, the
 incomplete Gamma functions, and the Gauss rules of every quadrature.
 
@@ -9,21 +9,20 @@ it broadcast: connection_gammas over parameter sets, norm_K over the top
 label and rho, d_abs and gamma_upper over their arguments, each with one
 ln_gamma call.
 
-2F1 lives in one kernel: gauss_2f1_array (gauss_2f1 is its one-point call)
-sums the one power series, _series_2f1_array, below a switch point v* and
-evaluates the 1-v connection formula above it, with the Gamma ratios of
-connection_gammas; gauss_2f1_regularized runs the same series.  The
-kernel broadcasts over parameters: P sets (a, b, c) against V points,
-summed in blocks of 16 terms, each block one (P x 16) @ (16 x V) complex
-product of coefficients (a cumprod of the term ratio) and powers of v.
-Each element stops on its own last term, and the products shrink to the
-sets and points still summing.
-The same block adds sum |c_k v^k|, so each element knows the digits it
-lost to cancellation: a direct-series element over the 8-digit budget is
-recomputed by the connection formula, and a connection value over it
-raises AccuracyError (DLMF 15.2, 15.8).  The principal-series parameters
-always have non-integer c-a-b, which keeps the connection formula
-non-degenerate.
+2F1 has one entry point, gauss_2f1_array, which returns (values,
+digits_lost).  It sums the one power series, _series_2f1_array, below a
+switch point v* and evaluates the 1-v connection formula above it, with
+the Gamma ratios of connection_gammas.  The kernel broadcasts over
+parameters: P sets (a, b, c) against V points, summed in blocks of 16
+terms, each block one (P x 16) @ (16 x V) complex product of
+coefficients (a cumprod of the term ratio) and powers of v.  Each element
+stops on its own last term, and the products shrink to the sets and
+points still summing.  The same block adds sum |c_k v^k|, so each
+element knows the digits it lost to cancellation: a direct-series element
+over the 8-digit budget is recomputed by the connection formula, and a
+connection value over it raises AccuracyError (DLMF 15.2, 15.8).  The
+principal-series parameters always have non-integer c-a-b, which keeps
+the connection formula non-degenerate.
 
 The incomplete Gamma functions run no long Python loop over terms.
 gamma_lower_scaled sums the Kummer series of gamma(s, z) (DLMF 8.7.1) as
@@ -58,11 +57,8 @@ __all__ = [
     "ln_gamma",
     "gamma_upper",
     "gamma_lower_scaled",
-    "gauss_2f1",
     "gauss_2f1_array",
-    "gauss_2f1_regularized",
     "connection_gammas",
-    "assoc_legendre_P",
     "gegenbauer_C",
     "gauss_rule",
     "gauss_panels",
@@ -404,36 +400,25 @@ def _connection_2f1(a, b, c, w):
     return f1, _digits_lost(m1, f1)
 
 
-def gauss_2f1(a: complex, b: complex, c: complex, v: float) -> complex:
-    """Gauss hypergeometric 2F1(a, b; c; v) at one v in [0, 1): a one-point
-    call of gauss_2f1_array, which owns the evaluation and its errors."""
-    return complex(gauss_2f1_array(a, b, c, np.array([v], dtype=float))[0])
+def gauss_2f1_array(a, b, c, v, one_minus_v=None):
+    """Gauss hypergeometric 2F1(a, b; c; v) over an array of v in [0, 1),
+    with the digits each element lost: returns (values, digits_lost).
 
+    a, b and c are scalars or broadcast to P parameter sets; both results
+    have shape (P,) + v.shape (v.shape for scalar parameters).  Direct
+    series for v <= v* = 0.5; for v > v* the two-term connection formula in
+    1-v, which needs c-a-b not an integer (always true on the principal
+    series, where c-a-b = +-i rho).  Non-positive integer c in any set
+    raises PoleError.  one_minus_v may supply 1 - v to full precision
+    (needed when v is so close to 1 that the subtraction underflows, e.g.
+    tanh^2 of a large argument paired with sech^2); the connection branch
+    then runs on it.
 
-def gauss_2f1_array(a, b, c, v) -> np.ndarray:
-    """Gauss hypergeometric 2F1(a, b; c; v) over an array of v in [0, 1).
-
-    a, b and c are scalars or broadcast to P parameter sets; the result has
-    shape (P,) + v.shape (v.shape for scalar parameters).  Direct series
-    for v <= v* = 0.5; for v > v* the two-term connection formula in 1-v, which
-    needs c-a-b not an integer (always true on the principal series, where
-    c-a-b = +-i rho).  Non-positive integer c in any set raises PoleError.
-
-    Each element carries its digits lost, log10(sum |term| / |value|).  A
+    digits_lost is log10(sum |term| / |value|) per element.  A
     direct-series element that loses more than 8 digits (large |a b| v,
     e.g. rho above about 30 on the principal series), or whose series
     overflows, is recomputed by the connection formula; an element whose
     connection value loses more than 8 digits raises AccuracyError.
-    """
-    return _gauss_2f1(a, b, c, v)[0]
-
-
-def _gauss_2f1(a, b, c, v, one_minus_v=None):
-    """gauss_2f1_array and its digits lost per element.
-
-    one_minus_v may supply 1 - v to full precision (needed when v is so
-    close to 1 that the subtraction underflows, e.g. tanh^2 of a large
-    argument paired with sech^2); the connection branch then runs on it.
     """
     shape = np.broadcast(a, b, c).shape
     a, b, c = (np.ravel(x).astype(complex) for x in np.broadcast_arrays(a, b, c))
@@ -477,42 +462,6 @@ def _gauss_2f1(a, b, c, v, one_minus_v=None):
             f"{lost[p, j]:.1f} digits to cancellation on the connection branch "
             f"(budget {_DIGIT_BUDGET:g})")
     return out.reshape(shape + vshape), lost.reshape(shape + vshape)
-
-
-def gauss_2f1_regularized(a: complex, b: complex, c: complex, v: float) -> complex:
-    """Regularized series 2F1(a,b;c;v)/Gamma(c), entire in c.
-
-    Direct series only, so integer c-a-b is allowed; at c = 1 - m it is
-    (a)_m (b)_m / m! v^m 2F1(a+m, b+m; m+1; v) (DLMF 15.2.3_5).  Converges
-    for |v| < 1; slowly near v = 1.
-    """
-    if not (0.0 <= v < 1.0):
-        raise ValueError(f"argument must lie in [0, 1), got {v}")
-    vs = np.array([v], dtype=float)
-    c = complex(c)
-    if not _is_nonpositive_int(c):
-        return complex(_series_2f1_array(a, b, c, vs)[0][0, 0] * np.exp(-ln_gamma(c)))
-    m = int(round(1 - c.real))
-    lead = 1.0 + 0.0j
-    for p in range(m):  # (a)_m (b)_m / m!
-        lead *= (a + p) * (b + p) / (p + 1)
-    return complex(lead * v ** m
-                   * _series_2f1_array(a + m, b + m, m + 1.0, vs)[0][0, 0])
-
-
-def assoc_legendre_P(degree: float, order: float, u: float) -> float:
-    """Ferrers associated Legendre function P^order_degree(u) on (-1, 1).
-
-    Uses the hypergeometric representation
-    P^mu_nu(u) = ((1+u)/(1-u))^{mu/2} * 2F1(-nu, nu+1; 1-mu; (1-u)/2)/Gamma(1-mu)
-    with the regularized series, so integer orders are included.
-    """
-    if not (-1.0 < u < 1.0):
-        raise ValueError(f"argument must lie in (-1, 1), got {u}")
-    pref = ((1.0 + u) / (1.0 - u)) ** (order / 2.0)
-    val = gauss_2f1_regularized(-degree, degree + 1.0, 1.0 - order,
-                                (1.0 - u) / 2.0)
-    return float((pref * val).real)
 
 
 def gegenbauer_C(lam: float, k: int, x):
@@ -673,14 +622,13 @@ def hypersph_Y(idx: HarmonicIndex, phis, phi) -> complex:
     return out
 
 
-def harmonic_indices(n: int, l_max: int, m_max: int | None = None) -> list[HarmonicIndex]:
-    """All index chains with top label <= l_max (and |m| <= m_max if given)."""
-    cap = l_max if m_max is None else min(l_max, m_max)
+def harmonic_indices(n: int, l_max: int) -> list[HarmonicIndex]:
+    """All index chains with top label <= l_max."""
     out: list[HarmonicIndex] = []
 
     def chains(prefix: tuple[int, ...], remaining: int):
         if remaining == 0:
-            mm = min(prefix[0], cap) if prefix else cap
+            mm = prefix[0] if prefix else l_max
             for m in range(-mm, mm + 1):
                 out.append(HarmonicIndex(n, m, prefix))
             return

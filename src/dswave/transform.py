@@ -110,7 +110,6 @@ class QuadratureGrid:
     rho_nodes: np.ndarray
     rho_weights: np.ndarray
     l_max: int
-    m_max: int | None = None
     # alpha -> radial table V, shape (n_rho, n_top, n_beta), filled by
     # radial_rows; digits_lost: alpha -> worst 2F1 digits lost in its rows
     mode_tables: dict = field(default_factory=dict, init=False, repr=False)
@@ -119,7 +118,7 @@ class QuadratureGrid:
     @staticmethod
     def build(n: int, beta_max: float = 12.0, n_beta: int = 10,
               rho_window: tuple[float, float] = (0.25, 4.0), n_rho: int = 48,
-              l_max: int = 4, m_max: int | None = None,
+              l_max: int = 4,
               n_polar: int = 24, n_azimuth: int = 48) -> "QuadratureGrid":
         # Gauss-Legendre panels of unit length (at least one) over the
         # beta window, one Gauss-Legendre rule over the rho window
@@ -127,7 +126,7 @@ class QuadratureGrid:
         bn, bw = specfun.gauss_panels(edges, n_beta)
         rn, rw = specfun.gauss_panels(rho_window, n_rho)
         return QuadratureGrid(SphereGrid.build(n, n_polar, n_azimuth),
-                              bn, bw, rn, rw, l_max, m_max)
+                              bn, bw, rn, rw, l_max)
 
     @cached_property
     def harmonics(self) -> tuple[list[HarmonicIndex], np.ndarray, np.ndarray]:
@@ -135,7 +134,7 @@ class QuadratureGrid:
         l_max, their values on the sphere nodes, shape (n_index, n_sphere),
         and for each index the row of its top label in radial_rows."""
         sph = self.sphere
-        idxs = harmonic_indices(sph.n, self.l_max, self.m_max)
+        idxs = harmonic_indices(sph.n, self.l_max)
         Y = np.stack([hypersph_Y(i, sph.phis, sph.phi) for i in idxs])
         tops = sorted({i.top for i in idxs})
         return idxs, Y, np.searchsorted(tops, [i.top for i in idxs])
@@ -390,9 +389,9 @@ def eval_on_grid(f, grid: QuadratureGrid) -> np.ndarray:
         * np.ones((grid.beta_nodes.size, sph.size))
 
 
-def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid,
-                          alphas=(1, 2)) -> HyperCoeffs:
-    """Coefficients chi = integral of conj(Psi) f over the chart window.
+def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid) -> HyperCoeffs:
+    """Coefficients chi = integral of conj(Psi) f over the chart window, for
+    both families (alpha = 1, 2).
 
     f is either a broadcastable callable f(beta, phis, phi) or an already
     evaluated (n_beta, n_sphere) array on the grid.
@@ -405,9 +404,9 @@ def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid,
     # harmonic over the sphere
     vals = np.concatenate([
         ((np.conj(grid.radial_rows(rho, a)) @ G)[top_row] * Yc).sum(axis=1)
-        for a in alphas])
+        for a in (1, 2)])
     out = HyperCoeffs(rho=rho)
-    keys = [(a, i.m, i.ls) for a in alphas for i in idxs]
+    keys = [(a, i.m, i.ls) for a in (1, 2) for i in idxs]
     for key, v in zip(keys, vals):
         out.table[key] = complex(v)
     return out
@@ -575,18 +574,12 @@ def _intertwiner_exponent_phase(grid: ConeGrid, rho,
                                 forward: bool) -> tuple[np.ndarray, np.ndarray]:
     """Exponent E = -(n-1)/2 -+ i rho of the angular kernel |a|^E and the
     Theta phase e^{i pi ((n-1)/2 (+-1) + i rho)} of its a < 0 branch
-    (upper signs forward, lower inverse), as (n_rho, 1) columns for a
-    scalar or 1-D rho."""
+    (upper signs forward, lower inverse), as (n_rho, 1) columns."""
     rho = np.atleast_1d(np.asarray(rho, dtype=float))[:, None]
     E = -0.5 * (grid.n - 1) + 1j * (-rho if forward else rho)
     phase = np.exp(1j * math.pi * (0.5 * (grid.n - 1)
                                    * (1 if forward else -1) + 1j * rho))
     return E, phase
-
-
-def _rho_layout(rho, rows: np.ndarray) -> np.ndarray:
-    """(n_rho, m) rows -> (m,) for a scalar rho, (m, n_rho) for a 1-D rho."""
-    return rows[0] if np.ndim(rho) == 0 else rows.T
 
 
 def intertwiner_symbol(grid: ConeGrid, rho, forward: bool,
@@ -600,8 +593,9 @@ def intertwiner_symbol(grid: ConeGrid, rho, forward: bool,
     The value depends on |j| only.  One ln_gamma call over the stacked
     arguments [1 + 2E, 1 + E] gives j = 0 for every rho, and the ratio
     lam_{j+1} / lam_j = (E - j) / (1 + E + j) (DLMF 5.5.1) gives every
-    other |j| by one cumulative product along j, for all rho at once.  A
-    scalar rho returns shape (n_j,), a 1-D rho (n_j, n_rho).
+    other |j| by one cumulative product along j, for all rho at once.  rho
+    goes through np.atleast_1d, so the result has shape (n_j, n_rho), with
+    n_rho = 1 for a scalar.
     """
     E, phase = _intertwiner_exponent_phase(grid, rho, forward)
     aj = np.abs(np.atleast_1d(np.asarray(j, dtype=int)))
@@ -614,7 +608,7 @@ def intertwiner_symbol(grid: ConeGrid, rho, forward: bool,
     lam = lam[:, aj]
     if sector == 1:
         lam = phase * (-1.0) ** aj * lam
-    return _rho_layout(rho, lam)
+    return lam.T
 
 
 def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
@@ -622,9 +616,9 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     """Eigenvalues of the angular intertwiner on the circle, in
     np.fft.fftfreq order: the operator is g -> ifft(eigs * fft(g)).
 
-    rho is a scalar (shape (n_theta,) returned) or a 1-D array of nodes
-    (shape (n_theta, n_rho)): the eigenvalues for all rho nodes of a
-    sector come from one call, with the rho-independent pieces built once.
+    The result has shape (n_theta, n_rho), n_rho = 1 for a scalar rho: the
+    eigenvalues for all rho nodes of a sector come from one call, with the
+    rho-independent pieces built once.
     sector = t' tau' (+1 or -1) fixes the sign of a = -sector + cos(dtheta).
     On the uniform grid the kernel matrix is circulant,
     [i_out, j_in] = row[(j - i) mod n_theta], so its eigenvalues are
@@ -717,7 +711,7 @@ def _intertwiner_eigs(grid: ConeGrid, rho, forward: bool,
     eigs = nt * np.fft.ifft(row, axis=1)
     if sector == 1:
         eigs *= phase
-    return _rho_layout(rho, eigs)
+    return eigs.T
 
 
 def _sheet_eigs(grid: ConeGrid, rho_nodes: np.ndarray, forward: bool,
@@ -731,8 +725,7 @@ def _sheet_eigs(grid: ConeGrid, rho_nodes: np.ndarray, forward: bool,
     lam = _intertwiner_eigs(grid, rho_nodes, forward, -1, method)
     j = np.fft.fftfreq(grid.n_theta, d=1.0 / grid.n_theta).astype(int)
     phase = _intertwiner_exponent_phase(grid, rho_nodes, forward)[1]
-    return {1: _rho_layout(rho_nodes, phase * (-1.0) ** np.abs(j)) * lam,
-            -1: lam}
+    return {1: (phase * (-1.0) ** np.abs(j)).T * lam, -1: lam}
 
 
 def _apply_sheets(eigs: dict, sheets: np.ndarray) -> np.ndarray:
@@ -758,12 +751,14 @@ def cone_fourier_forward(h: ConeFunction, rho_nodes,
     which weights the t' = -1 sheet by -1, is this transform of t' h.
     The h values of both sheets on all directions fill one
     (2, n_theta, n_s) array, which goes through one Mellin call, so the
-    Mellin kernel is built once.  method "spectral" applies the exact
-    intertwiner symbol, "direct" its independent node-exclusion quadrature
-    (see _intertwiner_eigs).
+    Mellin kernel is built once.  rho_nodes goes through np.atleast_1d, so
+    each sheet of the spectrum has shape (n_theta, n_rho), n_rho = 1 for a
+    scalar.  method "spectral" applies the exact intertwiner symbol,
+    "direct" its independent node-exclusion quadrature (see
+    _intertwiner_eigs).
     """
     grid = grid or ConeGrid(n=h.n, s_window=h.s_window)
-    rho_nodes = np.asarray(rho_nodes, dtype=float)
+    rho_nodes = np.atleast_1d(np.asarray(rho_nodes, dtype=float))
     eigs = _sheet_eigs(grid, rho_nodes, True, method)
     dirs = grid.directions()
 
@@ -802,14 +797,21 @@ def cone_fourier_inverse(psi: ConeSpectrum, rho_weights,
     the signed reading is this inverse of the spectrum tau' psi(tau', .).
     At n = 2 |d| does not depend on the (j, k) sector.  The rho grid may
     cover both half lines or a band on one of them.  method is as in
-    cone_fourier_forward.  Returns tauprime -> (n_s, n_theta), both sheets
-    from one (n_s x n_rho) @ (n_rho x 2 n_theta) product.
+    cone_fourier_forward.  The rho nodes and weights go through
+    np.atleast_1d, and each sheet of psi.values must have shape
+    (n_theta, n_rho), or ValueError is raised.  Returns tauprime ->
+    (n_s, n_theta), both sheets from one (n_s x n_rho) @ (n_rho x 2 n_theta)
+    product.
     """
     grid = psi.grid
-    rho_nodes = psi.rho_nodes
-    rho_weights = np.asarray(rho_weights, dtype=float)
+    rho_nodes = np.atleast_1d(np.asarray(psi.rho_nodes, dtype=float))
+    rho_weights = np.atleast_1d(np.asarray(rho_weights, dtype=float))
+    sheets = np.stack([psi.values[1], psi.values[-1]])
+    if sheets.shape[1:] != (grid.n_theta, rho_nodes.size):
+        raise ValueError(f"spectrum sheets must have shape (n_theta, n_rho) = "
+                         f"{(grid.n_theta, rho_nodes.size)}, got {sheets.shape[1:]}")
     eigs = _sheet_eigs(grid, rho_nodes, False, method)
-    acc = _apply_sheets(eigs, np.stack([psi.values[1], psi.values[-1]]))
+    acc = _apply_sheets(eigs, sheets)
     d2 = _d_abs_sq_signed(grid.n, 0, 0, rho_nodes)
     # (n_s, n_rho): s^{-(n-1)/2} w |d|^2 / 2 pi, times e^{i rho log s}
     logs = np.log(grid.s_nodes)

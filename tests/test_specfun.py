@@ -12,8 +12,7 @@ from scipy.special import loggamma as scipy_loggamma
 from dswave import specfun
 from dswave.errors import AccuracyError, PoleError, UnsupportedCaseError
 from dswave.planewave import HyperWave, hyper_2f1_params
-from dswave.specfun import (HarmonicIndex, assoc_legendre_P,
-                            bessel_j, d_abs, gauss_2f1, gauss_2f1_array,
+from dswave.specfun import (HarmonicIndex, bessel_j, d_abs, gauss_2f1_array,
                             harmonic_indices, hypersph_Y, ln_gamma, norm_K)
 
 mp.mp.dps = 30
@@ -222,9 +221,10 @@ def test_gamma_upper_rejects_branch_cut(z):
 
 
 def test_2f1_at_zero_and_closed_form():
-    assert gauss_2f1(0.3 + 0.2j, -1.1, 0.7, 0.0) == 1.0
+    assert gauss_2f1_array(0.3 + 0.2j, -1.1, 0.7, np.array([0.0]))[0][0] == 1.0
     v = 0.5
-    assert_allclose(gauss_2f1(1.0, 1.0, 2.0, v), -np.log(1 - v) / v, rtol=1e-12)
+    assert_allclose(gauss_2f1_array(1.0, 1.0, 2.0, np.array([v]))[0][0],
+                    -np.log(1 - v) / v, rtol=1e-12)
 
 
 def _branches(a, b, c, v):
@@ -258,7 +258,7 @@ def test_2f1_against_mpmath_both_branches():
         b = complex(rng.uniform(-2.0, 0.5), -rho / 2)
         c = 0.5 + rng.integers(0, 2)
         for v in (0.1, 0.45, 0.55, 0.9, 0.99):
-            mine = gauss_2f1(a, b, c, v)
+            mine = gauss_2f1_array(a, b, c, np.array([v]))[0][0]
             ref = complex(mp.hyp2f1(a, b, c, v))
             worst = max(worst, abs(mine - ref) / abs(ref))
     assert worst < 1e-11
@@ -266,17 +266,15 @@ def test_2f1_against_mpmath_both_branches():
 
 def test_2f1_degenerate_case_raises():
     with pytest.raises(UnsupportedCaseError):
-        gauss_2f1(0.5, 0.5, 2.0, 0.9)  # c - a - b = 1, integer
+        gauss_2f1_array(0.5, 0.5, 2.0, np.array([0.9]))  # c - a - b = 1, integer
     with pytest.raises(PoleError):
-        gauss_2f1(0.5, 0.5, -1.0, 0.2)
+        gauss_2f1_array(0.5, 0.5, -1.0, np.array([0.2]))
 
 
 def test_2f1_array_matches_scalar():
-    # gauss_2f1 is a one-point call of the array kernel, so the reference
-    # is mpmath
     a, b, c = 0.75 - 0.4j, -0.25 - 0.4j, 0.5
     vs = np.array([0.0, 0.2, 0.5, 0.8, 0.999])
-    arr = gauss_2f1_array(a, b, c, vs)
+    arr = gauss_2f1_array(a, b, c, vs)[0]
     for v, got in zip(vs, arr):
         assert_allclose(got, complex(mp.hyp2f1(a, b, c, float(v))), rtol=1e-12)
 
@@ -301,15 +299,16 @@ def test_2f1_array_parameter_sets_match_scalar_calls():
     sets.append((0.3 + 0.2j, -1.1, 0.7))
     a, b, c = (np.array(x) for x in zip(*sets))
     vs = np.array([0.0, 0.05, 0.3, 0.5, 0.62, 0.9, 0.999])
-    got = gauss_2f1_array(a, b, c, vs)
+    got = gauss_2f1_array(a, b, c, vs)[0]
     assert got.shape == (len(sets), vs.size)
     for p, (ap, bp, cp) in enumerate(sets):
         for j, v in enumerate(vs):
-            assert_allclose(got[p, j], gauss_2f1(ap, bp, cp, v), rtol=1e-13)
+            assert_allclose(got[p, j], gauss_2f1_array(ap, bp, cp, vs[j:j + 1])[0][0],
+                            rtol=1e-13)
     # a (2, 3) block of parameter sets keeps its shape ahead of v's
-    grid = gauss_2f1_array(a[:3, None], b[:3, None], c[:3, None] * np.ones(2),
-                           vs.reshape(7, 1))
-    assert grid.shape == (3, 2, 7, 1)
+    grid, lost = gauss_2f1_array(a[:3, None], b[:3, None],
+                                 c[:3, None] * np.ones(2), vs.reshape(7, 1))
+    assert grid.shape == lost.shape == (3, 2, 7, 1)
 
 
 def test_series_elements_match_one_point_calls():
@@ -369,7 +368,7 @@ def test_2f1_large_rho_accurate_or_raises(alpha, rho, v):
     # value is either within 1e-8 of mpmath or an AccuracyError
     a, b, c = _principal_params(3, 2, rho, alpha)
     try:
-        got = gauss_2f1(a, b, c, v)
+        got = gauss_2f1_array(a, b, c, np.array([v]))[0][0]
     except AccuracyError:
         return
     with mp.workdps(60):
@@ -384,12 +383,12 @@ def test_2f1_large_rho_guard_reroutes_and_raises():
     a, b, c = _principal_params(3, 2, 40.0, 1)
     series, mass = specfun._series_2f1_array(a, b, c, np.array([0.5]))
     assert np.log10(mass / np.abs(series))[0, 0] > 13.0
-    val, lost = specfun._gauss_2f1(a, b, c, np.array([0.5]))
+    val, lost = gauss_2f1_array(a, b, c, np.array([0.5]))
     assert lost[0] < 3.0
     assert_allclose(val[0], _branches(a, b, c, 0.5)[1], rtol=1e-13)
     a, b, c = _principal_params(3, 2, 100.0, 2)
     with pytest.raises(AccuracyError, match="digits"):
-        gauss_2f1(a, b, c, 0.3)
+        gauss_2f1_array(a, b, c, np.array([0.3]))
 
 
 def test_2f1_criterion5_branches_not_rerouted():
@@ -402,55 +401,8 @@ def test_2f1_criterion5_branches_not_rerouted():
                 for alpha in (1, 2):
                     a, b, c = _principal_params(n, l, rho, alpha)
                     series, conn = _branches(a, b, c, 0.5)
-                    assert gauss_2f1(a, b, c, 0.5) == series
+                    assert gauss_2f1_array(a, b, c, np.array([0.5]))[0][0] == series
                     assert conn != series
-
-
-# --------------------------------------------------------------- Legendre
-
-
-def test_assoc_legendre_trivial():
-    assert_allclose(assoc_legendre_P(0.0, 0.0, 0.3), 1.0, rtol=1e-13)
-    assert_allclose(assoc_legendre_P(1.0, 0.0, 0.3), 0.3, rtol=1e-13)
-
-
-def test_assoc_legendre_vs_mpmath():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        deg = rng.uniform(0.0, 4.0)
-        order = rng.uniform(-2.0, 2.0)
-        u = rng.uniform(-0.85, 0.9)
-        mine = assoc_legendre_P(deg, order, u)
-        ref = float(mp.re(mp.legenp(deg, order, u)))
-        assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
-
-
-def test_assoc_legendre_integer_orders_vs_mpmath():
-    # integer orders run the regularized 2F1 through its c = 1 - m limit
-    for order in (1.0, 2.0, 3.0):
-        for deg in (0.5, 3.0, 3.7):
-            for u in (-0.6, 0.25, 0.8):
-                mine = assoc_legendre_P(deg, order, u)
-                ref = float(mp.re(mp.legenp(deg, order, u)))
-                assert abs(mine - ref) <= 1e-10 * max(1.0, abs(ref))
-
-
-def test_assoc_legendre_recurrence():
-    # (nu - mu + 1) P_{nu+1} = (2 nu + 1) u P_nu - (nu + mu) P_{nu-1}
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        nu = rng.uniform(1.0, 4.0)
-        mu = rng.uniform(-1.5, 1.5)
-        u = rng.uniform(-0.8, 0.8)
-        lhs = (nu - mu + 1.0) * assoc_legendre_P(nu + 1.0, mu, u)
-        rhs = ((2 * nu + 1.0) * u * assoc_legendre_P(nu, mu, u)
-               - (nu + mu) * assoc_legendre_P(nu - 1.0, mu, u))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
-
-def test_assoc_legendre_domain():
-    with pytest.raises(ValueError):
-        assoc_legendre_P(1.0, 0.5, 1.0)
 
 
 # ------------------------------------------------------------ Gauss rules
@@ -605,9 +557,9 @@ def test_harmonic_matches_legendre_product_form():
         mine = complex(hypersph_Y(idx, [p1, p2], ph))
         # chain: q=1 pairs (l_1, m) on the innermost polar angle (here p2),
         # q=2 pairs (l_2, l_1) with the half-integer shift on p1
-        prod = (assoc_legendre_P(1.0, 1.0, math.cos(p2))
+        prod = (float(mp.legenp(1.0, 1.0, math.cos(p2)))
                 * math.sin(p1) ** (-0.5)
-                * assoc_legendre_P(2.5, -1.5, math.cos(p1))
+                * float(mp.legenp(2.5, -1.5, math.cos(p1)))
                 * np.exp(1j * ph))
         ratios.append(mine / prod)
     assert_allclose(ratios[0], ratios[1], rtol=1e-9)

@@ -393,7 +393,7 @@ def _dense_modes(grid, rho):
     sph = grid.sphere
     keys, mats = [], []
     for alpha in (1, 2):
-        for idx in specfun.harmonic_indices(sph.n, grid.l_max, grid.m_max):
+        for idx in specfun.harmonic_indices(sph.n, grid.l_max):
             wave = HyperWave(alpha, rho, idx)
             keys.append((alpha, idx.m, idx.ls))
             mats.append(np.outer(radial_profile(wave, grid.beta_nodes),
@@ -617,8 +617,8 @@ def test_intertwiner_direct_matches_spectral():
     for rho in (0.7, 1.3, 2.5):
         for sector in (1, -1):
             for forward in (True, False):
-                A = _intertwiner_eigs(grid, rho, forward, sector, "direct")
-                B = _intertwiner_eigs(grid, rho, forward, sector, "spectral")
+                A = _intertwiner_eigs(grid, rho, forward, sector, "direct")[:, 0]
+                B = _intertwiner_eigs(grid, rho, forward, sector, "spectral")[:, 0]
                 # compare action on smooth modes
                 for j in (0, 1, 3):
                     g = np.fft.fft(np.exp(1j * j * grid.thetas))
@@ -635,8 +635,8 @@ def test_intertwiner_eigenvalue_vs_d_abs():
     grid = ConeGrid(n=2, n_theta=128)
     for rho in (0.5, 1.0, 2.0):
         for (j, k) in ((0, 0), (1, 0), (2, 1), (4, 1)):
-            lam = (intertwiner_symbol(grid, rho, True, 1, j)[0]
-                   + (-1) ** k * intertwiner_symbol(grid, rho, True, -1, j)[0])
+            lam = (intertwiner_symbol(grid, rho, True, 1, j)[0, 0]
+                   + (-1) ** k * intertwiner_symbol(grid, rho, True, -1, j)[0, 0])
             assert_allclose(abs(lam) * specfun.d_abs(2, j, k, rho), 1.0,
                             rtol=1e-12)
 
@@ -648,10 +648,10 @@ def test_cone_mode_round_trip_identity():
     grid = ConeGrid(n=2, n_theta=64)
     for rho in (0.6, 1.3, -0.6, -1.3):
         for (j, k) in ((0, 0), (1, 0), (2, 1)):
-            lam_f = (intertwiner_symbol(grid, rho, True, 1, j)[0]
-                     + (-1) ** k * intertwiner_symbol(grid, rho, True, -1, j)[0])
-            lam_i = (intertwiner_symbol(grid, rho, False, 1, j)[0]
-                     + (-1) ** k * intertwiner_symbol(grid, rho, False, -1, j)[0])
+            lam_f = (intertwiner_symbol(grid, rho, True, 1, j)[0, 0]
+                     + (-1) ** k * intertwiner_symbol(grid, rho, True, -1, j)[0, 0])
+            lam_i = (intertwiner_symbol(grid, rho, False, 1, j)[0, 0]
+                     + (-1) ** k * intertwiner_symbol(grid, rho, False, -1, j)[0, 0])
             assert_allclose(_d_abs_sq_signed(2, j, k, rho) * lam_f * lam_i, 1.0,
                             rtol=1e-12)
 
@@ -718,13 +718,13 @@ def test_intertwiner_symbol_vs_mpmath(rho):
     js = np.arange(129)
     for forward in (True, False):
         for sector in (1, -1):
-            got = intertwiner_symbol(grid, rho, forward, sector, js)
+            got = intertwiner_symbol(grid, rho, forward, sector, js)[:, 0]
             ref = np.array([_symbol_mpmath(rho, forward, sector, int(j))
                             for j in js])
             assert_allclose(got, ref, rtol=5e-14)
             # unsorted indices with negative values: the symbol is even in j
             jm = np.array([5, -3, 0, 17, -17, 2])
-            assert_allclose(intertwiner_symbol(grid, rho, forward, sector, jm),
+            assert_allclose(intertwiner_symbol(grid, rho, forward, sector, jm)[:, 0],
                             ref[np.abs(jm)], rtol=5e-14)
 
 
@@ -756,8 +756,8 @@ def test_intertwiner_eigs_rho_array_matches_scalar_calls(n_theta, method):
             assert batch.shape == (n_theta, rho.size)
             for r, x in enumerate(rho):
                 one = _intertwiner_eigs(grid, x, forward, sector, method)
-                assert one.shape == (n_theta,)
-                err = np.max(np.abs(batch[:, r] - one))
+                assert one.shape == (n_theta, 1)
+                err = np.max(np.abs(batch[:, r] - one[:, 0]))
                 assert err <= 1e-14 * np.max(np.abs(one))
 
 
@@ -850,7 +850,7 @@ def test_cone_pair_matches_dense_reference(method, n_theta, rho_nodes, rho_w):
         return g * (xp[1] ** 2 - 0.3j * xp[0] + 0.5 * tp * xp[0] * xp[1])
 
     mats = {(fwd, sec, r): _dense_circulant(
-                _intertwiner_eigs(grid, rho, fwd, sec, method))
+                _intertwiner_eigs(grid, rho, fwd, sec, method)[:, 0])
             for fwd in (True, False) for sec in (1, -1)
             for r, rho in enumerate(rho_nodes)}
     rng = np.random.default_rng(7)
@@ -956,6 +956,29 @@ def test_cone_direct_accepts_unwrapped_stencil():
     assert all(np.all(np.isfinite(back[tp])) for tp in (1, -1))
 
 
+@pytest.mark.parametrize("method", ["spectral", "direct"])
+def test_cone_pair_scalar_rho_matches_one_element_list(method):
+    # a scalar rho is the one-node array: the spectrum keeps its n_rho axis
+    # instead of broadcasting to an (n_theta, n_theta) array
+    grid = ConeGrid(n=2, n_theta=64, s_window=(1e-3, 1e3), n_s=120)
+    h = ConeFunction(2, lambda s, tp, xp: np.exp(-np.log(s) ** 2)
+                     * (xp[1] + 0.3 * tp * xp[0] ** 3), grid.s_window)
+    psi = cone_fourier_forward(h, 0.8, grid, method=method)
+    ref = cone_fourier_forward(h, [0.8], grid, method=method)
+    vals = {tp: ref.values[tp] for tp in (1, -1)}
+    back = cone_fourier_inverse(ConeSpectrum(grid, 0.8, vals), 0.5, method=method)
+    back_ref = cone_fourier_inverse(ConeSpectrum(grid, [0.8], vals), [0.5],
+                                    method=method)
+    for tp in (1, -1):
+        assert np.array_equal(psi.values[tp], ref.values[tp])
+        assert np.array_equal(back[tp], back_ref[tp])
+    assert intertwiner_symbol(grid, 0.8, True, 1, np.arange(5)).shape == (5, 1)
+    # a sheet without the n_rho axis is refused, not broadcast
+    flat = {tp: v[:, 0] for tp, v in vals.items()}
+    with pytest.raises(ValueError, match="n_theta, n_rho"):
+        cone_fourier_inverse(ConeSpectrum(grid, 0.8, flat), 0.5, method=method)
+
+
 @pytest.mark.parametrize("method,tol", [("spectral", 5e-3), ("direct", 5e-3)])
 def test_cone_round_trip_band_limited(method, tol):
     grid = ConeGrid(n=2, n_theta=128, s_window=(1e-4, 1e4), n_s=400)
@@ -997,6 +1020,27 @@ def test_cone_round_trip_band_limited(method, tol):
                             * rho_w[None, :]))
         den += float(np.sum(np.abs(psi0.values[tp]) ** 2 * rho_w[None, :]))
     assert math.sqrt(num / den) <= tol
+
+
+def test_radial_table_goes_through_gauss_2f1_array(monkeypatch):
+    # the radial tables take their 2F1 values from the public entry point,
+    # and the grid reports the worst digits lost that it returned
+    losses = []
+    kernel = specfun.gauss_2f1_array
+
+    def counted(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        losses.append(float(out[1].max()))
+        return out
+
+    monkeypatch.setattr(specfun, "gauss_2f1_array", counted)
+    grid = QuadratureGrid.build(2, beta_max=6.0, n_beta=4, rho_window=(0.9, 2.6),
+                                n_rho=8, l_max=2, n_polar=8, n_azimuth=8)
+    assert grid.resolution_report()["radial_digits_lost"] == 0.0
+    grid.mode_table(1)
+    grid.radial_rows(1.3, 2)
+    assert len(losses) == 2
+    assert grid.resolution_report()["radial_digits_lost"] == max(losses)
 
 
 def test_quadrature_grid_resolution_report(hyper_grid):
