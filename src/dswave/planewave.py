@@ -183,6 +183,12 @@ def radial_table(n: int, alpha: int, rhos, tops, beta):
     (specfun.gauss_2f1_array raises AccuracyError beyond).  Raises
     AccuracyError where sech^2(beta) < _SECH2_MIN (|beta| > 361.8).  The
     mirrored pairing (+i rho inside a, b) is cosh(beta)**(2j*rho) * conj(V).
+
+    V is real up to rounding.  Here c - a = conj(b) and c - b = conj(a),
+    and c - a - b = i rho, so Euler's transformation (DLMF 15.8.1) reads
+    F(a, b; c; v) = cosh(beta)^{-2i rho} conj(F(a, b; c; v)) at
+    v = tanh^2(beta): cosh(beta)^{i rho} F is its own conjugate, and K is
+    real.  The table stays complex and keeps that rounding.
     """
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 (odd) or 2 (even)")

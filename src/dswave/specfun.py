@@ -12,17 +12,19 @@ ln_gamma call.
 2F1 has one entry point, gauss_2f1_array, which returns (values,
 digits_lost).  It sums the one power series, _series_2f1_array, below a
 switch point v* and evaluates the 1-v connection formula above it, with
-the Gamma ratios of connection_gammas.  The kernel broadcasts over
-parameters: P sets (a, b, c) against V points, summed in blocks of 16
-terms, each block one (P x 16) @ (16 x V) complex product of
-coefficients (a cumprod of the term ratio) and powers of v.  Each element
-stops on its own last term, and the products shrink to the sets and
-points still summing.  The same block adds sum |c_k v^k|, so each
-element knows the digits it lost to cancellation: a direct-series element
-over the 8-digit budget is recomputed by the connection formula, and a
-connection value over it raises AccuracyError (DLMF 15.2, 15.8).  The
-principal-series parameters always have non-integer c-a-b, which keeps
-the connection formula non-degenerate.
+the Gamma ratios of connection_gammas.  A principal-series parameter set
+is a conjugate pair (real c, c - a = conj(b), c - b = conj(a)): its
+second connection series is the conjugate of its first, so it runs one.
+The kernel broadcasts over parameters: P sets (a, b, c) against V
+points, summed in blocks of 16 terms, each block one (P x 16) @ (16 x V)
+complex product of coefficients (a cumprod of the term ratio) and powers
+of v.  Each element stops on its own last term, and the products shrink
+to the sets and points still summing.  The same block adds sum |c_k
+v^k|, so each element knows the digits it lost to cancellation: a
+direct-series element over the 8-digit budget is recomputed by the
+connection formula, and a connection value over it raises AccuracyError
+(DLMF 15.2, 15.8).  The principal-series parameters always have
+non-integer c-a-b, which keeps the connection formula non-degenerate.
 
 The incomplete Gamma functions run no long Python loop over terms.
 gamma_lower_scaled sums the Kummer series of gamma(s, z) (DLMF 8.7.1) as
@@ -362,10 +364,20 @@ def _digits_lost(mass, value):
         return np.maximum(np.log10(mass / np.abs(value)), 0.0)
 
 
+def _paired(a, b, c):
+    """Which parameter sets are conjugate pairs: real c with c - a = conj(b)
+    and c - b = conj(a), tested exactly.  Every principal-series set is
+    one.  The second series of the 1-v connection formula then has the
+    conjugate parameters of the first, so on real 1 - v its sum is the
+    conjugate of the first's, and G2 = conj(G1)."""
+    return (c.imag == 0.0) & (c - a == np.conj(b)) & (c - b == np.conj(a))
+
+
 def connection_gammas(a, b, c):
     """Gamma ratios (G1, G2) of the 1-v connection formula (A&S 15.3.6):
     2F1(a,b;c;v) = G1 F(a,b;a+b-c+1;1-v) + G2 (1-v)^{c-a-b} F(c-a,c-b;c-a-b+1;1-v).
-    Broadcast over a, b and c.
+    Broadcast over a, b and c.  On a paired set (see _paired) G2 equals
+    conj(G1) up to rounding; both come from one ln_gamma call.
     """
     s = c - a - b
     g = ln_gamma(np.broadcast_arrays(c, s, c - a, c - b, -s, a, b))
@@ -375,7 +387,11 @@ def connection_gammas(a, b, c):
 def _connection_2f1(a, b, c, w):
     """2F1 by the 1-v connection formula for parameter sets (P,) against
     points w = 1 - v (V,): values and digits lost, each (P, V).  The loss
-    counts both series and the cancellation between the two terms."""
+    counts both series and the cancellation between the two terms.
+
+    A paired set (see _paired) runs one series: its second is the
+    conjugate of its first, with the same mass.  Only the other sets run
+    the second series, on their rows."""
     s = c - a - b
     if np.any((np.abs(s - np.round(s.real)) < 1e-10) & (np.abs(s.imag) < 1e-10)):
         raise UnsupportedCaseError(
@@ -383,8 +399,13 @@ def _connection_2f1(a, b, c, w):
     # the Gamma ratios first: ln_gamma's (terms x sets) temporaries then
     # meet no (P, V) series array
     g1, g2 = connection_gammas(a, b, c)
+    other = ~_paired(a, b, c)
     f1, m1 = _series_2f1_array(a, b, a + b + 1.0 - c, w)
-    f2, m2 = _series_2f1_array(c - a, c - b, 1.0 + s, w)
+    f2, m2 = np.conj(f1), m1
+    if np.any(other):
+        m2 = m1.copy()
+        f2[other], m2[other] = _series_2f1_array(
+            c[other] - a[other], c[other] - b[other], 1.0 + s[other], w)
     # out = g1 f1 + e2 f2 and its mass |g1| m1 + |e2| m2, built in place on
     # the (P, V) series arrays, whose spent ones go before _digits_lost's
     e2 = s[:, None] * np.log(w)
@@ -393,10 +414,13 @@ def _connection_2f1(a, b, c, w):
     np.multiply(g1[:, None], f1, out=f1)
     np.multiply(e2, f2, out=f2)
     f1 += f2
+    del f2
+    mass = np.abs(e2)
+    del e2
+    mass *= m2
     m1 *= np.abs(g1)[:, None]
-    m2 *= np.abs(e2)
-    m1 += m2
-    del f2, m2, e2
+    m1 += mass
+    del m2, mass
     return f1, _digits_lost(m1, f1)
 
 

@@ -140,12 +140,30 @@ class QuadratureGrid:
         return idxs, Y, np.searchsorted(tops, [i.top for i in idxs])
 
     @cached_property
+    def _beta_measure(self) -> np.ndarray:
+        """The beta factor of the chart measure, shape (n_beta,): beta
+        weight times cosh^(n-1) beta."""
+        return self.beta_weights * np.cosh(self.beta_nodes) ** (self.sphere.n - 1)
+
+    @cached_property
     def measure(self) -> np.ndarray:
-        """The chart measure on the nodes, shape (n_beta, n_sphere): beta
-        weight times cosh^(n-1) beta, times the sphere weight."""
-        n = self.sphere.n
-        return (self.beta_weights * np.cosh(self.beta_nodes) ** (n - 1))[:, None] \
-            * self.sphere.weights[None, :]
+        """The chart measure on the nodes, shape (n_beta, n_sphere): the
+        beta factor _beta_measure times the sphere weight."""
+        return self._beta_measure[:, None] * self.sphere.weights[None, :]
+
+    @cached_property
+    def _forward_factors(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """(keys, Yw, pick) of fourier_hyper_forward: the coefficient keys of
+        both families; the sphere factor conj(Y) times the sphere weights,
+        transposed to (n_sphere, n_index); and, per key, the flat position
+        of its (family, top label) row and harmonic in the (2 n_top,
+        n_index) product of the beta-contracted rows with Yw."""
+        idxs, Y, top_row = self.harmonics
+        keys = [(a, i.m, i.ls) for a in (1, 2) for i in idxs]
+        n_top, n_index = int(top_row.max()) + 1, len(idxs)
+        pick = np.concatenate([(a * n_top + top_row) * n_index + np.arange(n_index)
+                               for a in (0, 1)])
+        return keys, np.ascontiguousarray((np.conj(Y) * self.sphere.weights).T), pick
 
     def _radial(self, rhos, alpha: int) -> np.ndarray:
         idxs = self.harmonics[0]
@@ -394,39 +412,50 @@ def fourier_hyper_forward(f, rho: float, grid: QuadratureGrid) -> HyperCoeffs:
     both families (alpha = 1, 2).
 
     f is either a broadcastable callable f(beta, phis, phi) or an already
-    evaluated (n_beta, n_sphere) array on the grid.
+    evaluated (n_beta, n_sphere) array on the grid, real or complex; any
+    other shape raises ValueError.  The measure is separable, so its beta
+    factor weights the radial rows and its sphere factor the conjugate
+    harmonics.  The rows are real (see planewave.radial_table), so one real
+    product contracts beta for both families, on F as interleaved real and
+    imaginary columns.  One more product meets each contracted row with
+    every harmonic, and each mode keeps its own top label's entry.
     """
     F = f if isinstance(f, np.ndarray) else eval_on_grid(f, grid)
-    idxs, Y, top_row = grid.harmonics
-    G = F * grid.measure
-    Yc = np.conj(Y)
-    # per alpha: conj(V) contracts beta, then each mode's row meets its
-    # harmonic over the sphere
-    vals = np.concatenate([
-        ((np.conj(grid.radial_rows(rho, a)) @ G)[top_row] * Yc).sum(axis=1)
-        for a in (1, 2)])
-    out = HyperCoeffs(rho=rho)
-    keys = [(a, i.m, i.ls) for a in (1, 2) for i in idxs]
-    for key, v in zip(keys, vals):
-        out.table[key] = complex(v)
-    return out
+    shape = (grid.beta_nodes.size, grid.sphere.size)
+    if F.shape != shape:
+        raise ValueError(f"field has shape {F.shape}, not (n_beta, n_sphere) = {shape}")
+    keys, Yw, pick = grid._forward_factors
+    R = np.concatenate([grid.radial_rows(rho, a).real for a in (1, 2)])
+    R *= grid._beta_measure
+    P = (R @ np.ascontiguousarray(F, dtype=complex).view(float)).view(complex)
+    vals = (P @ Yw).ravel()[pick]
+    return HyperCoeffs(rho=rho, table=dict(zip(keys, vals.tolist())))
 
 
 def fourier_hyper_inverse(coeff_field, grid: QuadratureGrid) -> np.ndarray:
     """Field on the product grid from a rho-indexed coefficient field.
 
-    coeff_field maps rho -> HyperCoeffs (a callable, or a sequence matching
-    grid.rho_nodes).  The rho-measure carries the spectral density rho/2
-    measured for the normalized modes, which makes forward -> inverse the
-    identity on band-limited fields.  The literal unweighted integral is
-    this inverse applied to the coefficients (2/rho) chi; it composes with
-    the forward to multiplication by 2/rho.
+    coeff_field maps rho -> HyperCoeffs (a callable, or a sequence with one
+    entry per grid.rho_nodes); None stands for an empty table.  A sequence
+    of another length, or a table whose rho is not its node's to within
+    1e-12 relative, raises ValueError.  The rho-measure carries the
+    spectral density rho/2 measured for the normalized modes, which makes
+    forward -> inverse the identity on band-limited fields.  The literal
+    unweighted integral is this inverse applied to the coefficients
+    (2/rho) chi; it composes with the forward to multiplication by 2/rho.
     """
     idxs, Y, top_row = grid.harmonics
     tables = (list(coeff_field) if isinstance(coeff_field, (list, tuple))
               else [coeff_field(r) for r in grid.rho_nodes])
-    tables = [c if c is not None else HyperCoeffs(rho=float(r))
-              for r, c in zip(grid.rho_nodes, tables)]
+    if len(tables) != grid.rho_nodes.size:
+        raise ValueError(f"{len(tables)} coefficient tables for "
+                         f"{grid.rho_nodes.size} rho nodes")
+    for i, (r, c) in enumerate(zip(grid.rho_nodes, tables)):
+        if c is None:
+            tables[i] = HyperCoeffs(rho=float(r))
+        elif not abs(c.rho - r) <= 1e-12 * abs(r):
+            raise ValueError(f"coefficient table {i} is at rho = {c.rho}, "
+                             f"not at its rho node {r}")
     weight = grid.rho_weights * (0.5 * grid.rho_nodes)
     # (n_beta, n_index): per alpha, one product of the radial table, with
     # (rho node, top label) as the contracted axis, against chi weighted and

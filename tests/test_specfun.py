@@ -391,6 +391,64 @@ def test_2f1_large_rho_guard_reroutes_and_raises():
         gauss_2f1_array(a, b, c, np.array([0.3]))
 
 
+def _radial_sets():
+    """(a, b, c) of the radial 2F1 over criterion 9's rho window, both
+    families, n = 2 and 3, top labels 0..4, as arrays."""
+    sets = [_principal_params(n, l, float(rho), alpha) for n in (2, 3)
+            for l in range(5) for rho in np.linspace(0.9, 2.6, 7)
+            for alpha in (1, 2)]
+    return tuple(np.array(x, dtype=complex) for x in zip(*sets))
+
+
+def _two_series_connection(a, b, c, w):
+    """A&S 15.3.6 term by term: both series, all seven log Gammas."""
+    s = c - a - b
+    g = ln_gamma(np.stack([c, s, c - a, c - b, -s, a, b]))
+    g1 = np.exp(g[0] + g[1] - g[2] - g[3])[:, None]
+    g2 = np.exp(g[0] + g[4] - g[5] - g[6])[:, None]
+    f1, m1 = specfun._series_2f1_array(a, b, a + b + 1.0 - c, w)
+    f2, m2 = specfun._series_2f1_array(c - a, c - b, 1.0 + s, w)
+    e2 = g2 * w ** s[:, None]
+    value = g1 * f1 + e2 * f2
+    mass = np.abs(g1) * m1 + np.abs(e2) * m2
+    return value, mass
+
+
+def test_connection_2f1_paired_sets_match_two_series_formula():
+    a, b, c = _radial_sets()
+    assert np.all(specfun._paired(a, b, c))
+    w = np.geomspace(1e-20, 0.5, 40)
+    got, lost = specfun._connection_2f1(a, b, c, w)
+    ref, mass = _two_series_connection(a, b, c, w)
+    assert np.all(np.abs(got - ref) <= 1e-15 * mass)
+    assert np.max(np.abs(lost - np.log10(mass / np.abs(ref)))) <= 1e-12
+    # G2 against the four log Gammas of G1 conjugated, and against conj(G1)
+    g1, g2 = specfun.connection_gammas(a, b, c)
+    g = ln_gamma(np.stack([c, -(c - a - b), a, b]))
+    assert_allclose(g2, np.exp(g[0] + g[1] - g[2] - g[3]), rtol=1e-15, atol=0.0)
+    assert_allclose(g2, np.conj(g1), rtol=1e-15, atol=0.0)
+
+
+def test_connection_2f1_mixed_sets_match_per_set_calls():
+    # paired (principal-series) and generic sets in one call: the generic
+    # ones run their second series on their own rows
+    a, b, c = _principal_params(3, 2, 1.7, 1)
+    sets = [(a, b, c), (0.3 + 0.2j, -1.1 + 0.4j, 0.7), _principal_params(2, 0, 0.9, 2),
+            (1.25 - 0.5j, 0.4 + 0.1j, 1.5 + 0.3j), (a, b + 0.1, c)]
+    a, b, c = (np.array(x, dtype=complex) for x in zip(*sets))
+    assert specfun._paired(a, b, c).tolist() == [True, False, True, False, False]
+    w = np.array([1e-3, 0.1, 0.3, 0.5])
+    got, lost = specfun._connection_2f1(a, b, c, w)
+    g1, g2 = specfun.connection_gammas(a, b, c)
+    for p in range(len(sets)):
+        one, one_lost = specfun._connection_2f1(a[p:p + 1], b[p:p + 1], c[p:p + 1], w)
+        assert_allclose(got[p], one[0], rtol=1e-14, atol=0.0)
+        assert_allclose(lost[p], one_lost[0], rtol=0.0, atol=1e-12)
+        assert (g1[p], g2[p]) == specfun.connection_gammas(a[p], b[p], c[p])
+    ref, mass = _two_series_connection(a, b, c, w)
+    assert np.all(np.abs(got - ref) <= 1e-15 * mass)
+
+
 def test_2f1_criterion5_branches_not_rerouted():
     # criterion 5 compares the direct series against the connection formula
     # at v = 0.5 for rho <= 2: v = 0.5 lies on the direct branch, and the

@@ -518,6 +518,102 @@ def test_hyper_mode_tables_stay_separable():
     assert cached < grid.rho_nodes.size * per_rho
 
 
+def _random_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid.beta_nodes.size, grid.sphere.size)
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        / np.cosh(grid.beta_nodes)[:, None] ** grid.sphere.n
+
+
+@pytest.mark.parametrize("n,sizes", [(2, _GRID2), (3, _GRID3)])
+def test_forward_matches_measure_weighted_formula(n, sizes):
+    # the separable contraction against the plain one: conj(V) against
+    # F times the full measure, then each mode's row against conj(Y)
+    grid = QuadratureGrid.build(n, rho_window=(0.9, 2.6), **sizes)
+    F = _random_field(grid, n)
+    idxs, Y, top_row = grid.harmonics
+    for rho in (*grid.rho_nodes[[0, 17, -1]], 1.234):
+        chi = fourier_hyper_forward(F, float(rho), grid)
+        ref = {}
+        for a in (1, 2):
+            V = grid.radial_rows(float(rho), a)
+            vals = ((np.conj(V) @ (F * grid.measure))[top_row] * np.conj(Y)).sum(1)
+            ref.update({(a, i.m, i.ls): v for i, v in zip(idxs, vals)})
+        assert sorted(chi.table) == sorted(ref)
+        top = max(abs(v) for v in ref.values())
+        assert max(abs(chi[k] - v) for k, v in ref.items()) <= 1e-13 * top
+
+
+def test_forward_takes_real_and_strided_fields_and_checks_shape(hyper_grid):
+    F = _random_field(hyper_grid, 7)
+    rho = float(hyper_grid.rho_nodes[30])
+    ref = fourier_hyper_forward(F.real.astype(complex), rho, hyper_grid).table
+    assert fourier_hyper_forward(F.real, rho, hyper_grid).table == ref
+    ref = fourier_hyper_forward(F, rho, hyper_grid).table
+    wide = np.repeat(F, 2, axis=1)
+    for view in (np.asfortranarray(F), wide[:, ::2]):
+        assert not view.flags.c_contiguous
+        assert fourier_hyper_forward(view, rho, hyper_grid).table == ref
+    for bad in (F[:, :1], F.T, F[0], F[:, :, None]):
+        with pytest.raises(ValueError, match="shape"):
+            fourier_hyper_forward(bad, rho, hyper_grid)
+
+
+@pytest.mark.parametrize("n,sizes", [(2, _GRID2), (3, _GRID3)])
+def test_radial_rows_are_real(n, sizes):
+    # on the principal series the radial factor is real (Euler's
+    # transformation of its 2F1); the tables keep only rounding in Im V
+    grid = QuadratureGrid.build(n, rho_window=(0.9, 2.6), **sizes)
+    for alpha in (1, 2):
+        V = grid.mode_table(alpha)
+        assert np.all(np.abs(V.imag) <= 1e-14 * np.abs(V).max(axis=2, keepdims=True))
+
+
+def test_mode_table_fill_runs_one_connection_series(monkeypatch):
+    # the second series of the connection formula is the conjugate of the
+    # first on the principal series: a fill sums the direct series on the
+    # small-beta points and one connection series on the others
+    inside, calls = [], []
+    series, connection = specfun._series_2f1_array, specfun._connection_2f1
+
+    def series_spy(*args):
+        calls.append("connection" if inside else "direct")
+        return series(*args)
+
+    def connection_spy(*args):
+        inside.append(True)
+        try:
+            return connection(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(specfun, "_series_2f1_array", series_spy)
+    monkeypatch.setattr(specfun, "_connection_2f1", connection_spy)
+    grid = QuadratureGrid.build(3, rho_window=(0.9, 2.6), **_GRID3)
+    for alpha in (1, 2):
+        calls.clear()
+        grid.mode_table(alpha)
+        assert calls == ["direct", "connection"]
+
+
+def test_inverse_checks_tables_against_rho_nodes(hyper_grid):
+    tables = _band_tables(hyper_grid, [((2, 1, ()), 1.0 + 0.0j)])
+    spare = HyperCoeffs(rho=3.0)
+    for bad, match in ((tables[::-1], "rho node"), (tables + [spare], "tables for"),
+                       (tables[:-1], "tables for"),
+                       ([HyperCoeffs(rho=float(r)) for r in hyper_grid.rho_nodes[:-1]],
+                        "tables for")):
+        with pytest.raises(ValueError, match=match):
+            fourier_hyper_inverse(bad, hyper_grid)
+    # a callable's tables are checked as well; None stays an empty table
+    with pytest.raises(ValueError, match="rho node"):
+        fourier_hyper_inverse(lambda r: HyperCoeffs(rho=float(r) + 1e-9), hyper_grid)
+    F = fourier_hyper_inverse(tables, hyper_grid)
+    near = [HyperCoeffs(rho=t.rho * (1.0 + 1e-13), table=t.table) for t in tables]
+    assert np.array_equal(fourier_hyper_inverse(near, hyper_grid), F)
+    assert not np.any(fourier_hyper_inverse(lambda r: None, hyper_grid))
+
+
 # ------------------------------------------------------------ Mellin pair
 
 
