@@ -9,6 +9,7 @@ rather than proofs; the acceptance suite asserts on the fitted numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -356,11 +357,15 @@ _HANKEL_Y0_MAX = 640.0
 _HANKEL_TOL = 1e-15
 # bessel_pair_integral: the series panel covers [0, _Y_SPLIT], Gauss-Legendre
 # panels of _PANEL_NODES nodes and width about _PANEL_WIDTH cover [_Y_SPLIT,
-# Y0]; the series panel's e^{-eps _Y_SPLIT} underflows past eps _Y_SPLIT = 700
+# Y0]; the series panel's e^{-eps _Y_SPLIT} underflows past eps _Y_SPLIT = 700.
+# Y0 and so the panels depend only on the order (eta, nu): _bessel_panels
+# builds their nodes, weights and Bessel values once per order and keeps at
+# most _PANEL_CACHE_ORDERS orders (the oracle's sectors n 2-5, j 0-2 use 16)
 _Y_SPLIT = 2.0
 _PANEL_WIDTH = math.pi / 2.0
 _PANEL_NODES = 16
 _SERIES_PANEL_X_MAX = 700.0
+_PANEL_CACHE_ORDERS = 32
 # appendix_d_oracle raises AccuracyError above this leave-one-out spread
 _EXTRAPOLATION_SPREAD_MAX = 5e-4
 
@@ -420,6 +425,22 @@ def _hankel_tail(eta: float, nu: float, rho: float,
                                                          axis=(0, 1))
 
 
+@functools.lru_cache(maxsize=_PANEL_CACHE_ORDERS)
+def _bessel_panels(eta: float, nu: float) -> tuple[np.ndarray, ...]:
+    """(yy, wy, J_eta(yy), J_nu(yy)): the Gauss-Legendre nodes and weights
+    of the panels on [_Y_SPLIT, Y0] and both Bessel functions on them, with
+    Y0 from _hankel_terms(eta).  Built once per order and held read-only,
+    so no caller can change what a later call reads."""
+    y0 = _hankel_terms(eta)[0]
+    yy, wy = specfun.gauss_panels(
+        np.linspace(_Y_SPLIT, y0, math.ceil((y0 - _Y_SPLIT) / _PANEL_WIDTH) + 1),
+        _PANEL_NODES)
+    panels = (yy, wy, specfun.bessel_j(eta, yy), specfun.bessel_j(nu, yy))
+    for a in panels:
+        a.flags.writeable = False
+    return panels
+
+
 def bessel_pair_integral(n: int, j: int, k: int, rho: float,
                          eps) -> complex | np.ndarray:
     """Regularized integral I(eps) of y^{i rho} J_eta(y) J_nu(y) e^{-eps y}.
@@ -445,10 +466,12 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float,
     beyond that.
 
     eps is a positive finite scalar (the result is a complex) or a 1-D
-    array (one value per eps, in input order); the Bessel values on
-    [2, Y0] are shared by every eps.  rho <= 0 raises PoleError
-    (the Gamma(i rho) of the eps^{-i rho} tail has its pole at 0); n < 2,
-    j < 0 or k < 0 raise ValueError.
+    array (one value per eps, in input order).  The panel nodes, weights
+    and Bessel values on [2, Y0] depend only on the order (eta, nu): they
+    are built on the first call for each order, kept read-only for at most
+    32 orders (_bessel_panels), and shared by every rho and eps.  rho <= 0
+    raises PoleError (the Gamma(i rho) of the eps^{-i rho} tail has its
+    pole at 0); n < 2, j < 0 or k < 0 raise ValueError.
     """
     if n < 2 or j < 0 or k < 0:
         raise ValueError(f"the Bessel-pair integral needs n >= 2, j >= 0 and "
@@ -463,7 +486,7 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float,
     eps_vec = np.atleast_1d(eps_arr)
     eta = 0.5 * (n + 2 * j - 2)
     nu = 0.5 if k % 2 else -0.5
-    y0, val = _hankel_tail(eta, nu, rho, eps_vec)
+    val = _hankel_tail(eta, nu, rho, eps_vec)[1]
     # series panel: J_eta J_nu = sum_p a_p (y/2)^{w_p - 1 - i rho} with
     # w_p = eta+nu+2p+1+i rho, and int_0^Y y^{w-1} e^{-eps y} dy =
     # Y^w x^{-w} gamma(w, x) at x = eps Y; unlike the Taylor series of
@@ -477,11 +500,9 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float,
                             f"{_SERIES_PANEL_X_MAX:g}: e^(-eps y) underflows")
     lower = specfun.gamma_lower_scaled(w[:, None], x[None, :])
     val += np.sum((a_p * 2.0 ** (-base) * _Y_SPLIT ** w)[:, None] * lower, axis=0)
-    # Gauss panels on [_Y_SPLIT, Y0]
-    yy, wy = specfun.gauss_panels(
-        np.linspace(_Y_SPLIT, y0, math.ceil((y0 - _Y_SPLIT) / _PANEL_WIDTH) + 1),
-        _PANEL_NODES)
-    g = wy * yy ** (1j * rho) * specfun.bessel_j(eta, yy) * specfun.bessel_j(nu, yy)
+    # Gauss panels on [_Y_SPLIT, Y0], built once per order
+    yy, wy, je, jn = _bessel_panels(eta, nu)
+    g = wy * yy ** (1j * rho) * je * jn
     val += np.sum(np.exp(-eps_vec[:, None] * yy) * g, axis=1)
     return complex(val[0]) if eps_arr.ndim == 0 else val
 

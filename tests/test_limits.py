@@ -382,6 +382,38 @@ def test_bessel_pair_integral_array_matches_scalar(eps):
         assert np.all(np.abs(nested - scalar) <= 1e-13 * np.abs(scalar))
 
 
+def test_bessel_panels_built_once_per_order():
+    # the panel nodes, weights and Bessel values come from a read-only
+    # cache keyed by the order (eta, nu): a second call of one order reads
+    # them and returns bitwise the first call's I(eps), whatever rho came
+    # between; every order has its own entry, and the cache is bounded
+    eps = np.geomspace(2e-3, 1.5e-1, 10)
+    limits._bessel_panels.cache_clear()
+    first = bessel_pair_integral(3, 1, 0, 0.7, eps)
+    panels = limits._bessel_panels(1.5, -0.5)
+    assert limits._bessel_panels.cache_info().currsize == 1
+    bessel_pair_integral(3, 1, 0, 2.0, eps)
+    assert np.array_equal(bessel_pair_integral(3, 1, 0, 0.7, eps), first)
+    assert limits._bessel_panels(1.5, -0.5) is panels
+    for arr in panels:
+        assert arr.shape == panels[0].shape
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    bessel_pair_integral(3, 1, 1, 0.7, eps)
+    other = limits._bessel_panels(1.5, 0.5)
+    assert limits._bessel_panels.cache_info().currsize == 2
+    assert other is not panels and not np.array_equal(other[3], panels[3])
+    assert np.array_equal(other[0], panels[0])  # one Y0, one set of nodes
+    # the panels end at the order's Hankel cut Y0
+    y0 = limits._hankel_terms(1.5)[0]
+    assert panels[0].max() < y0 and panels[0].max() > y0 - limits._PANEL_WIDTH
+    maxsize = limits._bessel_panels.cache_info().maxsize
+    assert maxsize == limits._PANEL_CACHE_ORDERS
+    for eta in 0.5 * np.arange(maxsize + 2):
+        limits._bessel_panels(float(eta), 0.5)
+    assert limits._bessel_panels.cache_info().currsize == maxsize
+
+
 def test_bessel_pair_integral_large_eps_vs_mpmath():
     # eps * y_split of 3.2 and 6: the e^{-eps y} factor of the series panel
     # must be summed in full, not cut after a fixed number of Taylor terms

@@ -110,8 +110,8 @@ def test_ln_gamma_near_poles_vs_mpmath():
 # --------------------------------------------------- upper incomplete Gamma
 
 
-def _assert_gamma_upper_vs_mpmath(rho, m, z):
-    """gamma_upper at s = i rho - m against mpmath to 1e-12 relative."""
+def _assert_gamma_upper_vs_mpmath(rho, m, z, tol=1e-12):
+    """gamma_upper at s = i rho - m against mpmath to tol relative."""
     s = 1j * rho - m
     got = specfun.gamma_upper(s[:, None], z[None, :])
     assert got.shape == (m.size, z.size)
@@ -128,7 +128,7 @@ def _assert_gamma_upper_vs_mpmath(rho, m, z):
                     sm = mp.mpc(complex(si))
                     ref = (ref - zm ** sm * mp.exp(-zm)) / sm
                 r = complex(ref)
-                assert abs(got[i, k] - r) <= 1e-12 * abs(r), (si, zk)
+                assert abs(got[i, k] - r) <= tol * abs(r), (si, zk)
 
 
 def test_gamma_upper_vs_mpmath():
@@ -155,6 +155,56 @@ def test_gamma_upper_handover_band_vs_mpmath():
                         (eps + 2j) * 40.0])
     for rho in (0.3, 1.0, 3.0):
         _assert_gamma_upper_vs_mpmath(rho, m, z)
+
+
+def test_gamma_upper_split_band_vs_mpmath():
+    # real z in [Z_LO, Z1) takes Gamma(s, Z1) plus the 32-point log-t rule:
+    # both edges, the band between, and the fraction just past Z1
+    # (measured worst 3.4e-14, at z = Z_LO, rho = 3, m = 0)
+    lo, z1 = specfun._GAMMA_SPLIT_LO, specfun._GAMMA_SPLIT_Z1
+    z = np.concatenate([[lo], np.geomspace(lo, z1, 14)[1:-1],
+                        [np.nextafter(z1, 0.0), z1, np.nextafter(z1, np.inf), 41.0]])
+    for rho in (0.3, 1.0, 3.0):
+        _assert_gamma_upper_vs_mpmath(rho, np.arange(12), z, tol=1e-13)
+    # a pole of Gamma(s) takes the split from z = 1 up
+    s = np.array([0.0, -1.0, -4.0, -11.0])
+    z = np.array([1.0, 2.5, 7.9, 20.0, np.nextafter(z1, 0.0), z1])
+    got = specfun.gamma_upper(s[:, None], z[None, :])
+    for (i, k), g in np.ndenumerate(got):
+        ref = complex(mp.gammainc(s[i], z[k]))
+        assert abs(g - ref) <= 1e-13 * abs(ref), (s[i], z[k])
+
+
+def test_gamma_upper_array_matches_one_element_calls(monkeypatch):
+    # every route leaves each element independent of the rest of the call:
+    # an array call that mixes the Kummer form, the split and the fraction
+    # returns bitwise the values of one-element calls
+    rng = np.random.default_rng(5)
+    s = 1j * rng.uniform(0.3, 3.0, 18) - rng.integers(0, 12, 18)
+    z = np.concatenate([
+        rng.uniform(0.01, 0.049, 3),                  # real, below Z_LO: Kummer
+        rng.uniform(0.05, 39.9, 6),                   # real, split
+        [0.3 + 0.4j, 2.0 - 1.0j],                     # complex: Kummer
+        rng.uniform(40.0, 90.0, 2),                   # real, past Z1: fraction
+        rng.uniform(0.002, 0.15, 3) * 40.0 + 80.0j,   # the oracle's complex z
+        [9.0 + 3.0j, 0.5 - 0.05j]])
+    s[-1] = -2.0  # a pole at real z >= 1 keeps the split
+    z[-1] = 2.0
+    routes = {}
+    for name in ("gamma_lower_scaled", "_gamma_split_integral",
+                 "_gamma_upper_fraction"):
+        def spy(sa, za, _f=getattr(specfun, name), _name=name):
+            routes[_name] = routes.get(_name, 0) + np.size(sa)
+            return _f(sa, za)
+        monkeypatch.setattr(specfun, name, spy)
+    got = specfun.gamma_upper(s, z)
+    assert routes == {"gamma_lower_scaled": 5, "_gamma_split_integral": 7,
+                      "_gamma_upper_fraction": 13}
+    one = np.array([specfun.gamma_upper(si, zi) for si, zi in zip(s, z)])
+    assert np.array_equal(got, one)
+    # and in a grid call (without the pole, which raises below z = 1)
+    grid = specfun.gamma_upper(s[:-1, None], z[None, :-1])
+    assert np.array_equal(np.diagonal(grid), got[:-1])
 
 
 def test_gamma_upper_nonpositive_integer_s():
