@@ -206,6 +206,14 @@ def cmd_planewave(cfg: dict, args) -> int:
 
 def cmd_wavepacket(cfg: dict, args) -> int:
     n = int(cfg["n"])
+    s_min, s_max = float(cfg["path_s_min"]), float(cfg["path_s_max"])
+    points, windows = int(cfg["path_points"]), int(cfg["windows"])
+    if not 0.0 < s_min < s_max:
+        raise ValueError(f"the decay path needs 0 < path_s_min < path_s_max, "
+                         f"got {s_min} and {s_max}")
+    if points < 2 or windows < 1:
+        raise ValueError(f"the decay path needs path_points >= 2 and windows >= 1, "
+                         f"got {points} and {windows}")
     st = SpacetimeConfig(n=n, R=float(cfg["R"]))
     mass = principal_mass(st, float(cfg["mu"]))
     center = np.zeros(n)
@@ -216,15 +224,14 @@ def cmd_wavepacket(cfg: dict, args) -> int:
                                     n_theta=int(cfg["cap_theta_nodes"]),
                                     n_sub_polar=int(cfg["cap_sub_polar"]),
                                     n_sub_azimuth=int(cfg["cap_sub_azimuth"]))
-    s_vals = np.geomspace(float(cfg["path_s_min"]), float(cfg["path_s_max"]),
-                          int(cfg["path_points"]))
+    s_vals = np.geomspace(s_min, s_max, points)
     betas = np.log(s_vals / st.R)
     dir_angles = tuple([np.pi / 3] * (n - 2))
     pts = from_hyper(st, HyperChart(betas, dir_angles, 0.5))
     vals, rep = transform.wavepacket_ambient(spec, pts, full_output=True)
     # envelope bins must span the modulus oscillation (period pi/mu' in
     # log s); meaningful fits need paths covering several periods
-    fit = limits.decay_fit(s_vals, vals, n_windows=int(cfg["windows"]),
+    fit = limits.decay_fit(s_vals, vals, n_windows=windows,
                            noise_floor=rep.noise_estimate,
                            bin_width=np.pi / max(mass.mu_prime, 0.1) * 1.05)
     out = os.path.join(args.out, "wavepacket.csv")

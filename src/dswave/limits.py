@@ -63,25 +63,31 @@ def phase_gradient(cfg: SpacetimeConfig, x, xi) -> np.ndarray:
     """Gradient of the plane-wave phase profile over the absolute.
 
     (1/((|x_0| + |x|)(x.xi))) * (x_1 - x_0 xi_1/xi_0, ..., x_n - x_0 xi_n/xi_0)
+
+    x and xi broadcast over their leading axes (the last axis is the vector
+    index), so points of shape (P, 1, n+1) against covectors of shape
+    (D, n+1) give all P x D gradients, shape (P, D, n).  Raises
+    OnSingularSurfaceError if x.xi = 0 for any pair.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     dot = minkowski_dot(x, xi)
-    if dot == 0.0:
+    if np.any(dot == 0.0):
         raise OnSingularSurfaceError("x.xi = 0")
-    s = abs(x[0]) + float(np.linalg.norm(x[1:]))
-    return (x[1:] - x[0] * xi[1:] / xi[0]) / (s * dot)
+    s = np.abs(x[..., 0]) + np.linalg.norm(x[..., 1:], axis=-1)
+    return ((x[..., 1:] - x[..., :1] * xi[..., 1:] / xi[..., :1])
+            / (s * dot)[..., None])
 
 
 def phase_gradient_min(cfg: SpacetimeConfig, points, directions) -> float:
-    """Min over (x, xi) grids of |grad Phi|; positive means no fixed point."""
-    best = np.inf
-    for x in points:
-        for u in directions:
-            xi = np.concatenate(([1.0], u))
-            g = phase_gradient(cfg, x, xi)
-            best = min(best, float(np.linalg.norm(g)))
-    return best
+    """Min over (x, xi) grids of |grad Phi|; positive means no fixed point.
+
+    One phase_gradient call covers every point against every covector
+    xi = (1, u) of the directions."""
+    x = np.asarray(points, dtype=float)[:, None]
+    u = np.asarray(directions, dtype=float)
+    xi = np.concatenate([np.ones((len(u), 1)), u], axis=1)
+    return float(np.min(np.linalg.norm(phase_gradient(cfg, x, xi), axis=-1)))
 
 
 # -------------------------------------------------------------- decay fits
@@ -93,7 +99,9 @@ class DecayFit:
 
     slopes[i] is the fitted d log|f| / d log s on window i (sign flipped so
     a decay like s^-p reports p); envelope fitting uses window maxima to
-    ride over modulus oscillations.
+    ride over modulus oscillations.  status is "ok" when at least one
+    window was fitted, "no-fit" when none was, "noise-limited" when a
+    window fell below the noise floor, and "zero-field" for |f| = 0.
     """
 
     s_windows: list[tuple[float, float]] = field(default_factory=list)
@@ -115,7 +123,9 @@ def decay_fit(s_values, f_values, n_windows: int = 4,
     one oscillation period so the maxima trace the envelope (for the
     hyperbolic standing waves that period is pi/rho in beta = log s).
     Windows whose amplitude falls below noise_floor mark the fit
-    noise-limited.
+    noise-limited.  A window with fewer than 6 samples, or fewer than 3
+    nonzero bins, is skipped; if every window is skipped the status is
+    "no-fit" and slopes is empty.
     """
     s = np.asarray(s_values, dtype=float)
     f = np.abs(np.asarray(f_values))
@@ -151,6 +161,8 @@ def decay_fit(s_values, f_values, n_windows: int = 4,
         out.s_windows.append((float(lo), float(hi)))
         out.slopes.append(float(-coef[0]))
         out.residuals.append(float(res[0]) if len(res) else 0.0)
+    if not out.slopes and out.status == "ok":
+        out.status = "no-fit"
     out.non_decreasing = all(b >= a - 0.05 for a, b in zip(out.slopes, out.slopes[1:]))
     return out
 

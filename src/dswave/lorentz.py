@@ -4,6 +4,9 @@ Generators are real (n+1)x(n+1) matrices M_ab = eta_a. (x) delta_b. -
 eta_b. (x) delta_a. acting on row vectors from the right, so that
 exp((tau/R) M_n0) is the hyperbolic rotation a(tau) and
 exp(sum_i (y_i/R) (M_i0 + M_in)) is the horospheric translation n(y).
+Every generator and check reads one generator tensor E[a, b] = M_ab over
+all index pairs, so the bracket, contraction and Casimir checks are array
+contractions, not loops over pairs of matrices.
 
 Sign convention for the Iwasawa pair: the abelian generator exposed as
 "iwasawa_a" is M_0n = -M_n0, normalized so that [a, n_i] = n_i exactly
@@ -21,9 +24,7 @@ from .geometry import SpacetimeConfig
 __all__ = [
     "eta",
     "generator",
-    "basis_labels",
     "commutator",
-    "structure_constant_bracket",
     "structure_residual",
     "boost_a",
     "horo_n",
@@ -46,42 +47,48 @@ def eta(n: int) -> np.ndarray:
     return e
 
 
-def _M(n: int, a: int, b: int) -> np.ndarray:
-    # (M_ab)_{cd} = eta_{ac} delta_{bd} - eta_{bc} delta_{ad}
-    e = eta(n)
-    m = np.zeros((n + 1, n + 1))
-    m[a, b] = e[a, a]
-    m[b, a] = -e[b, b]
-    return m
+def _generators(n: int) -> np.ndarray:
+    """The generator tensor E[a, b] = M_ab, shape (n+1,)*4, over all index
+    pairs: (M_ab)_cd = eta_ac delta_bd - eta_bc delta_ad, so M_ba = -M_ab
+    and M_aa = 0.  Built afresh on every call."""
+    d = np.diag(eta(n))
+    a, b = np.indices((n + 1, n + 1))
+    E = np.zeros((n + 1,) * 4)
+    E[a, b, a, b] = d[a]
+    E[a, b, b, a] -= d[b]
+    return E
+
+
+def _horospheric(E: np.ndarray) -> np.ndarray:
+    """The horospheric generators n_i = M_i0 + M_in, i = 1..n-1, stacked."""
+    n = E.shape[0] - 1
+    return E[1:n, 0] + E[1:n, n]
 
 
 def generator(cfg: SpacetimeConfig, kind: str, i: int = 0, j: int = 0) -> np.ndarray:
-    """Defining-representation generator matrix.
+    """Defining-representation generator matrix, read off the generator
+    tensor; each call returns a new array.
 
     kind: "rotation" (planes i-j, 1 <= i < j <= n), "boost" (plane i-0,
     1 <= i <= n), "iwasawa_a", or "iwasawa_n" (index i in 1..n-1).
     """
     n = cfg.n
+    E = _generators(n)
     if kind == "rotation":
         if not (1 <= i < j <= n):
             raise ValueError(f"rotation indices need 1 <= i < j <= n, got ({i},{j})")
-        return _M(n, i, j)
+        return E[i, j]
     if kind == "boost":
         if not (1 <= i <= n):
             raise ValueError(f"boost index needs 1 <= i <= n, got {i}")
-        return _M(n, i, 0)
+        return E[i, 0]
     if kind == "iwasawa_a":
-        return _M(n, 0, n)
+        return E[0, n]
     if kind == "iwasawa_n":
         if not (1 <= i <= n - 1):
             raise ValueError(f"horospheric index needs 1 <= i <= n-1, got {i}")
-        return _M(n, i, 0) + _M(n, i, n)
+        return _horospheric(E)[i - 1]
     raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def basis_labels(n: int) -> list[tuple[int, int]]:
-    """Index pairs (a, b), a < b, labeling the full so(1,n) basis M_ab."""
-    return [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
 
 
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -93,48 +100,28 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B - B @ A
 
 
-def structure_constant_bracket(n: int, ab, uv) -> np.ndarray:
-    """Bracket [M_ab, M_uv] assembled from the structure constants.
-
-    In the real convention the relations read
-    [M_ab, M_uv] = eta_av M_bu + eta_bu M_av - eta_au M_bv - eta_bv M_au,
-    with M_xy extended antisymmetrically (M_yx = -M_xy, M_xx = 0).
-    """
-    a, b = ab
-    u, v = uv
-    e = eta(n)
-
-    def M(x, y):
-        if x == y:
-            return np.zeros((n + 1, n + 1))
-        return _M(n, x, y)
-
-    return (e[a, v] * M(b, u) + e[b, u] * M(a, v)
-            - e[a, u] * M(b, v) - e[b, v] * M(a, u))
-
-
 def structure_residual(cfg: SpacetimeConfig) -> float:
-    """Max norm of [M_ab, M_uv] minus its structure-constant expansion."""
-    n = cfg.n
-    labels = basis_labels(n)
-    worst = 0.0
-    for ab in labels:
-        A = _M(n, *ab)
-        for uv in labels:
-            B = _M(n, *uv)
-            diff = commutator(A, B) - structure_constant_bracket(n, ab, uv)
-            worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    """Max norm of [M_ab, M_uv] minus its structure-constant expansion
+    eta_av M_bu + eta_bu M_av - eta_au M_bv - eta_bv M_au, over all index
+    pairs (a, b) and (u, v) at once: one einsum gives every product
+    M_ab M_uv, another every term T[a, b, u, v] = eta_av M_bu, and the
+    other three terms are T with its pairs swapped."""
+    E = _generators(cfg.n)
+    P = np.einsum("abij,uvjk->abuvik", E, E)
+    T = np.einsum("av,buij->abuvij", eta(cfg.n), E)
+    comm = P - P.transpose(2, 3, 0, 1, 4, 5)
+    expansion = (T + T.transpose(1, 0, 3, 2, 4, 5)
+                 - T.transpose(0, 1, 3, 2, 4, 5) - T.transpose(1, 0, 2, 3, 4, 5))
+    return float(np.max(np.abs(comm - expansion)))
 
 
 def iwasawa_ad_residual(cfg: SpacetimeConfig) -> float:
-    """Max norm of [a, n_i] - n_i over the horospheric generators."""
-    a = generator(cfg, "iwasawa_a")
-    worst = 0.0
-    for i in range(1, cfg.n):
-        ni = generator(cfg, "iwasawa_n", i)
-        worst = max(worst, float(np.max(np.abs(commutator(a, ni) - ni))))
-    return worst
+    """Max norm of [a, n_i] - n_i over the horospheric generators, all
+    n - 1 of them in one stacked product."""
+    E = _generators(cfg.n)
+    a = E[0, cfg.n]
+    ns = _horospheric(E)
+    return float(np.max(np.abs(a @ ns - ns @ a - ns)))
 
 
 def boost_a(cfg: SpacetimeConfig, tau: float) -> np.ndarray:
@@ -234,65 +221,51 @@ def contract_scale(basis: dict[str, np.ndarray], R: float) -> dict[str, np.ndarr
     return out
 
 
-def _scaled_ds_basis(cfg: SpacetimeConfig, R: float) -> list[np.ndarray]:
-    """Ordered contracted basis: so(1,n-1) block (J_ij, then K_i), then a'
-    and the n'_i."""
+def _so_block(E: np.ndarray) -> np.ndarray:
+    """The so(1,n-1) block that both contraction bases share: J_ij for
+    1 <= i < j <= n-1 (row-major), then K_i = M_i0 for i = 1..n-1."""
+    n = E.shape[0] - 1
+    i, j = np.triu_indices(n - 1, 1)
+    return np.concatenate([E[i + 1, j + 1], E[1:n, 0]])
+
+
+def _scaled_ds_basis(cfg: SpacetimeConfig, R: float) -> np.ndarray:
+    """Contracted basis, stacked: the so(1,n-1) block, then a' = a/R and
+    n'_i = n_i/R."""
     n = cfg.n
-    mats: list[np.ndarray] = []
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            mats.append(_M(n, i, j))
-    for i in range(1, n):
-        mats.append(_M(n, i, 0))
-    mats.append(generator(cfg, "iwasawa_a") / R)
-    for i in range(1, n):
-        mats.append(generator(cfg, "iwasawa_n", i) / R)
-    return mats
+    E = _generators(n)
+    return np.concatenate([_so_block(E), E[None, 0, n] / R, _horospheric(E) / R])
 
 
-def _poincare_basis(n: int) -> list[np.ndarray]:
+def _poincare_basis(n: int) -> np.ndarray:
     """Affine (n+1)x(n+1) realization of so(1,n-1) (+) R^n, matching order.
 
     Lorentz block acts on row vectors (y_0..y_{n-1}); translations are
     T_a = -E_{n,a}, the sign calibrated so that [K_i, T_0] = T_i mirrors the
     contracted pairing of boosts with horospheric directions.
     """
-    def trans(a):
-        m = np.zeros((n + 1, n + 1))
-        m[n, a] = -1.0
-        return m
-
-    mats: list[np.ndarray] = []
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            mats.append(_M(n, i, j))
-    for i in range(1, n):
-        mats.append(_M(n, i, 0))
-    mats.append(trans(0))
-    for i in range(1, n):
-        mats.append(trans(i))
-    return mats
+    T = np.zeros((n, n + 1, n + 1))
+    T[np.arange(n), n, np.arange(n)] = -1.0
+    return np.concatenate([_so_block(_generators(n)), T])
 
 
-def _structure_table(mats: list[np.ndarray], tol: float = 1e-9) -> np.ndarray:
+def _structure_table(mats: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Structure constants C[p, q, r] with [m_p, m_q] = sum_r C[p,q,r] m_r.
 
-    Solved by least squares against the vectorized basis; a large residual
-    means the span does not close and raises.
+    mats is a (k, d, d) stack.  All k^2 commutators are solved in one least
+    squares call against the vectorized basis; if any of them is not
+    reproduced from the basis span, the span does not close and this
+    raises ValueError.
     """
-    k = len(mats)
-    dim = mats[0].size
-    B = np.stack([m.reshape(dim) for m in mats], axis=1)
-    C = np.empty((k, k, k))
-    for p in range(k):
-        for q in range(k):
-            target = (mats[p] @ mats[q] - mats[q] @ mats[p]).reshape(dim)
-            coef, res, *_ = np.linalg.lstsq(B, target, rcond=None)
-            recon = B @ coef
-            if np.max(np.abs(recon - target)) > tol * max(1.0, np.max(np.abs(target))):
-                raise ValueError("commutator does not close on the basis span")
-            C[p, q] = coef
-    return C
+    k = mats.shape[0]
+    B = mats.reshape(k, -1).T
+    P = mats[:, None] @ mats[None, :]
+    targets = (P - P.transpose(1, 0, 2, 3)).reshape(k * k, -1).T
+    coef = np.linalg.lstsq(B, targets, rcond=None)[0]
+    scale = np.maximum(1.0, np.max(np.abs(targets), axis=0))
+    if np.any(np.max(np.abs(B @ coef - targets), axis=0) > tol * scale):
+        raise ValueError("commutator does not close on the basis span")
+    return coef.T.reshape(k, k, k)
 
 
 def poincare_residual(cfg: SpacetimeConfig, R: float) -> float:
@@ -310,19 +283,15 @@ def poincare_residual(cfg: SpacetimeConfig, R: float) -> float:
 def casimir_defining_multiple(cfg: SpacetimeConfig, tol: float = 1e-10) -> float:
     """Scalar c with sum_{i<j} M_ij^2 + sum_i M_in^2 - sum_i M_i0^2 - A^2 = c*Id.
 
-    Indices i, j run over 1..n-1 and A = M_n0.  Raises if the combination is
-    not proportional to the identity (it is, by Schur).
+    Indices i, j run over 1..n-1 and A = M_n0.  The combination is the
+    quadratic Casimir (1/2) sum_ab eta_aa eta_bb M_ab^2, one contraction of
+    the generator tensor.  Raises if it is not proportional to the
+    identity (it is, by Schur).
     """
     n = cfg.n
-    acc = np.zeros((n + 1, n + 1))
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            acc += _M(n, i, j) @ _M(n, i, j)
-    for i in range(1, n):
-        acc += _M(n, i, n) @ _M(n, i, n)
-        acc -= _M(n, i, 0) @ _M(n, i, 0)
-    A = _M(n, n, 0)
-    acc -= A @ A
+    d = np.diag(eta(n))
+    E = _generators(n)
+    acc = 0.5 * np.einsum("a,b,abij,abjk->ik", d, d, E, E)
     c = acc[0, 0]
     if np.max(np.abs(acc - c * np.eye(n + 1))) > tol:
         raise ValueError("Casimir combination is not a multiple of the identity")

@@ -266,6 +266,29 @@ def test_planewave_hyper_cli_matches_psi_hyper(tmp_path, n):
     assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("bad", [
+    "path_s_min = -1", "path_s_min = 0", "path_s_max = 1.0",
+    "path_s_max = 2.0", "path_points = 1", "windows = 0"])
+def test_wavepacket_bad_path_exit_2(tmp_path, capsys, bad):
+    # a path that is empty, reversed or off the positive s axis is a
+    # configuration error, not a CSV of NaN rows or a reversed fit
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(bad + "\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "wavepacket"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "wavepacket.csv").exists()
+
+
+def test_wavepacket_no_fit_status(tmp_path):
+    # 10 points over 4 windows: no window is fitted, and the CSV says so
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("path_points = 10\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "wavepacket"]) == 0
+    text = (tmp_path / "wavepacket.csv").read_text()
+    assert "# decay_status = no-fit\n" in text
+    assert "# decay_slopes = \n" in text
+
+
 def test_main_in_process_exit_codes(tmp_path):
     assert main(["--out", str(tmp_path), "verify", "nope"]) == 2
     assert main([]) == 2

@@ -63,6 +63,42 @@ def test_phase_gradient_singular():
         phase_gradient(cfg, x, xi)
 
 
+def _phase_grid(n, n_points, n_dirs, seed):
+    rng = np.random.default_rng(seed)
+    cfg = SpacetimeConfig(n=n, R=1.3)
+    pts = np.array([from_hyper(cfg, HyperChart(rng.normal(),
+                                               tuple(rng.uniform(0.2, 2.9, n - 2)),
+                                               rng.uniform(0, 2 * np.pi)))
+                    for _ in range(n_points)])
+    u = rng.normal(size=(n_dirs, n))
+    xis = np.concatenate([np.ones((n_dirs, 1)),
+                          u / np.linalg.norm(u, axis=1, keepdims=True)], axis=1)
+    return cfg, pts, xis
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phase_gradient_batch_matches_scalar_calls(n):
+    cfg, pts, xis = _phase_grid(n, 7, 11, seed=n)
+    g = phase_gradient(cfg, pts[:, None], xis)
+    assert g.shape == (7, 11, n)
+    for p, x in enumerate(pts):
+        for d, xi in enumerate(xis):
+            ref = phase_gradient(cfg, x, xi)
+            assert np.all(np.abs(g[p, d] - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+def test_phase_gradient_batch_singular_pair():
+    cfg, pts, xis = _phase_grid(2, 5, 6, seed=9)
+    # the point (1, sqrt 2, 1) lies on x.xi = 0 for xi = (1, 0, 1)
+    pts[3] = [1.0, math.sqrt(2.0), 1.0]
+    xis[4] = [1.0, 0.0, 1.0]
+    assert minkowski_dot(pts[3], xis[4]) == 0.0
+    with pytest.raises(OnSingularSurfaceError):
+        phase_gradient(cfg, pts[:, None], xis)
+    with pytest.raises(OnSingularSurfaceError):
+        phase_gradient_min(cfg, pts, xis[:, 1:])
+
+
 def test_phase_gradient_never_vanishes():
     cfg = SpacetimeConfig(n=3)
     rng = np.random.default_rng(3)
@@ -110,6 +146,23 @@ def test_decay_fit_zero_field_and_noise():
     assert fit.status == "zero-field"
     fit = decay_fit(s, 1e-20 * s ** (-1.0), noise_floor=1e-15)
     assert fit.status == "noise-limited"
+
+
+def test_decay_fit_no_window_fitted():
+    # 10 samples over 4 windows: no window holds the 6 samples a fit needs
+    s = np.geomspace(2.0, 250.0, 10)
+    fit = decay_fit(s, s ** (-1.0), n_windows=4)
+    assert fit.slopes == []
+    assert fit.status == "no-fit"
+
+
+def test_decay_fit_partial_fit_stays_ok():
+    # the second window holds 3 samples and is skipped; the first is fitted
+    s = np.concatenate([np.geomspace(1.0, 9.0, 30), [50.0, 100.0]])
+    fit = decay_fit(s, s ** (-2.0), n_windows=2, envelope=False)
+    assert len(fit.slopes) == 1
+    assert_allclose(fit.slopes[0], 2.0, atol=1e-9)
+    assert fit.status == "ok"
 
 
 def test_decay_fit_oscillating_envelope():

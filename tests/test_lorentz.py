@@ -182,3 +182,46 @@ def test_generator_argument_errors():
         lorentz.generator(cfg, "iwasawa_n", 3)
     with pytest.raises(ValueError):
         lorentz.generator(cfg, "nonsense")
+
+
+def _structure_table_per_pair(mats, tol=1e-9):
+    """Reference: one least-squares solve per commutator, in a loop."""
+    k = len(mats)
+    B = np.stack([m.reshape(-1) for m in mats], axis=1)
+    C = np.empty((k, k, k))
+    for p in range(k):
+        for q in range(k):
+            target = (mats[p] @ mats[q] - mats[q] @ mats[p]).reshape(-1)
+            coef = np.linalg.lstsq(B, target, rcond=None)[0]
+            assert np.max(np.abs(B @ coef - target)) <= tol * max(1.0, np.max(np.abs(target)))
+            C[p, q] = coef
+    return C
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("R", [10.0, 1e4])
+def test_structure_table_matches_per_pair_solves(n, R):
+    for mats in (lorentz._scaled_ds_basis(SpacetimeConfig(n=n), R),
+                 lorentz._poincare_basis(n)):
+        C = lorentz._structure_table(mats)
+        k = len(mats)
+        assert C.shape == (k, k, k) == (n * (n + 1) // 2,) * 3
+        assert np.max(np.abs(C - _structure_table_per_pair(mats))) <= 1e-15
+
+
+def test_structure_table_refuses_basis_that_does_not_close():
+    # [M_10, M_20] is the rotation M_12 (up to sign), outside the span
+    cfg = SpacetimeConfig(n=3)
+    boosts = np.stack([lorentz.generator(cfg, "boost", 1),
+                       lorentz.generator(cfg, "boost", 2)])
+    with pytest.raises(ValueError, match="does not close"):
+        lorentz._structure_table(boosts)
+
+
+def test_generator_returns_fresh_array():
+    cfg = SpacetimeConfig(n=3)
+    for args in (("rotation", 1, 2), ("boost", 3), ("iwasawa_a",), ("iwasawa_n", 1)):
+        first = lorentz.generator(cfg, *args)
+        expect = first.copy()
+        first[...] = 7.0
+        assert np.array_equal(lorentz.generator(cfg, *args), expect)
