@@ -422,6 +422,9 @@ def _hankel_tail(eta: float, nu: float, rho: float,
     c2 = e^{-i(eta+nu+1)pi/2}.  Against y^{i rho} e^{-eps y} each term
     integrates to Y0^{i rho - m} z^{-s} Gamma(s, z) with s = i rho - m and
     z = p Y0, p = eps, eps - 2i, eps + 2i (DLMF 8.2.2): one gamma_upper call.
+    At half-integer eta, eta - nu is an integer d and 2 Re(c1 i^m) =
+    2 cos((m - d) pi/2) vanishes for odd m - d, so those real-axis terms
+    are left out.
     """
     y0, b, _ = _hankel_terms(eta)
     m = np.arange(b.size)
@@ -430,11 +433,14 @@ def _hankel_tail(eta: float, nu: float, rho: float,
     im = 1j ** m
     w = b[:, None] * np.stack([2.0 * (c1 * im).real, c2 * im,
                                np.conj(c2 * im)], axis=1)
-    s = (1j * rho - m)[:, None, None]
-    z = (eps[None, :] + np.array([0.0, -2j, 2j])[:, None]) * y0
+    keep = np.ones(w.shape, dtype=bool)
+    if (eta - nu) % 1.0 == 0.0:
+        keep[(m - int(eta - nu)) % 2 == 1, 0] = False
+    mi, pi = np.nonzero(keep)
+    s = (1j * rho - m[mi])[:, None]
+    z = (eps[None, :] + np.array([0.0, -2j, 2j])[pi, None]) * y0
     g = np.exp(-s * np.log(z)) * specfun.gamma_upper(s, z)
-    return y0, y0 ** (1j * rho) / (2.0 * math.pi) * np.sum(w[:, :, None] * g,
-                                                         axis=(0, 1))
+    return y0, y0 ** (1j * rho) / (2.0 * math.pi) * (w[mi, pi] @ g)
 
 
 @functools.lru_cache(maxsize=_PANEL_CACHE_ORDERS)

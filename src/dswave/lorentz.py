@@ -24,7 +24,6 @@ from .geometry import SpacetimeConfig
 __all__ = [
     "eta",
     "generator",
-    "commutator",
     "structure_residual",
     "boost_a",
     "horo_n",
@@ -89,15 +88,6 @@ def generator(cfg: SpacetimeConfig, kind: str, i: int = 0, j: int = 0) -> np.nda
             raise ValueError(f"horospheric index needs 1 <= i <= n-1, got {i}")
         return _horospheric(E)[i - 1]
     raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix commutator AB - BA."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError("commutator needs matrices of matching shape")
-    return A @ B - B @ A
 
 
 def structure_residual(cfg: SpacetimeConfig) -> float:

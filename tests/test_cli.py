@@ -289,6 +289,16 @@ def test_wavepacket_no_fit_status(tmp_path):
     assert "# decay_slopes = \n" in text
 
 
+def test_wavepacket_mu_at_threshold_exit_2(tmp_path, capsys):
+    # at n = 4 the default mu = 1.5 is (n-1)/2, so mu' = 0, the pole of
+    # the packet's |d(mu')|^2: the refusal names the threshold
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 4\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "wavepacket"]) == 2
+    assert "mu must exceed (n-1)/(2R) = 1.5 at n = 4" in capsys.readouterr().err
+    assert not (tmp_path / "wavepacket.csv").exists()
+
+
 def test_main_in_process_exit_codes(tmp_path):
     assert main(["--out", str(tmp_path), "verify", "nope"]) == 2
     assert main([]) == 2

@@ -10,9 +10,9 @@ from scipy.special import roots_legendre
 from dswave import specfun, transform
 from dswave.errors import PoleError, UnsupportedCaseError
 from dswave.geometry import HyperChart, SpacetimeConfig, from_hyper
-from dswave.planewave import (HyperWave, dalembert_horo_residual,
-                              principal_mass, psi_hyper, radial_profile,
-                              radial_table)
+from dswave.planewave import (HyperWave, _two_branch,
+                              dalembert_horo_residual, principal_mass,
+                              psi_hyper, radial_profile, radial_table)
 from dswave.specfun import HarmonicIndex, hypersph_Y
 from dswave.transform import (AbsoluteProfile, ConeFunction, ConeGrid,
                               ConeSpectrum, HyperCoeffs, QuadratureGrid,
@@ -160,6 +160,162 @@ def test_wavepacket_solves_wave_equation():
     r = dalembert_horo_residual(cfg, F, 0.25, np.array([0.3, -0.2]), 1.6,
                                 h=1e-3, richardson=True)
     assert r < 1e-6
+
+
+# --------------------------------------- the zonal route past the front
+
+_CLI_BETAS = np.log(np.geomspace(2.0, 250.0, 160))
+# (n, mu, delta, (n_theta, n_sub_polar, n_sub_azimuth), chart angles,
+# azimuth, betas): the CLI wavepacket path at n = 3 and 4 and criterion 8b's
+_PACKET_PATHS = {
+    "cli_n3": (3, 1.5, 0.35, (16, 8, 16), (math.pi / 3,), 0.5, _CLI_BETAS),
+    "cli_n4": (4, 2.0, 0.35, (16, 8, 16), (math.pi / 3,) * 2, 0.5, _CLI_BETAS),
+    "criterion_8b": (4, 2.0, 0.4, (16, 10, 20), (1.1, 0.6), 0.8,
+                     np.linspace(1.0, 7.5, 150)),
+}
+
+
+def _packet_path(n, mu, delta, sizes, angles, phi, betas):
+    """(spec, row points) of a packet centred on e_n along one chart ray,
+    whose angle from the centre is angles[0]."""
+    cfg = SpacetimeConfig(n=n)
+    center = np.zeros(n)
+    center[-1] = 1.0
+    spec = WavepacketSpec(AbsoluteProfile(tuple(center), delta),
+                          principal_mass(cfg, mu), *sizes)
+    return spec, from_hyper(cfg, HyperChart(betas, angles, phi))
+
+
+def _cap_rule(spec, pts, sizes=None):
+    """The packet by the cap rule (at other sizes if given), summed here
+    over WavepacketSpec.cap_nodes: the oracle of the zonal route."""
+    if sizes is not None:
+        spec = WavepacketSpec(spec.profile, spec.mass, *sizes)
+    xi, w = spec.cap_nodes()
+    wf = w * spec.profile.value(xi[:, 1:])
+    mass = spec.mass
+    d2 = specfun.d_abs(mass.cfg.n, 0, 0, mass.mu_prime) ** 2
+    out = []
+    for blk in np.array_split(pts, pts.shape[0] * xi.shape[0] // 2**19 + 1):
+        s = blk[:, 1:] @ xi[:, 1:].T - np.outer(blk[:, 0], xi[:, 0])
+        out.append(d2 * (_two_branch(mass, s) * wf).sum(axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("path, bound", [("cli_n3", 1e-6), ("cli_n4", 3e-6),
+                                         ("criterion_8b", 5e-7)])
+def test_zonal_route_matches_cap_rule(path, bound):
+    # every third row past the front, the nearest first, against the cap
+    # rule at (64, 40, 80).  At the path's own spec the zonal route is
+    # within bound (measured 6.6e-7, 2.0e-6 and 2.5e-7), and the cap rule
+    # is not (1.2e-5, 8.4e-5, 8.4e-6); with 32 psi nodes per panel and 32
+    # phi nodes the zonal route is within 1e-9 (measured up to 5.9e-10)
+    spec, pts = _packet_path(*_PACKET_PATHS[path])
+    rows = pts[transform._past_front(spec.profile, pts)[0]][::3]
+    ref = _cap_rule(spec, rows, (64, 40, 80))
+
+    def rel(vals):
+        return np.max(np.abs(vals - ref) / np.abs(ref))
+
+    zonal, rep = wavepacket_ambient(spec, rows, full_output=True)
+    assert rep.total_nodes == rows.shape[0] * 4 * spec.n_theta
+    assert rel(zonal) < bound < rel(_cap_rule(spec, rows))
+    fine = WavepacketSpec(spec.profile, spec.mass, n_theta=32, n_sub_azimuth=32)
+    assert rel(wavepacket_ambient(fine, rows)) < 1e-9
+
+
+def test_zonal_route_rows_match_batch():
+    # the CLI n = 3 path: 11 rows before the front on the cap rule (whose
+    # batching test_wavepacket_batch_blocks_match_rows checks), 149 past it
+    # on the zonal route over two distinct gammas
+    spec, pts = _packet_path(*_PACKET_PATHS["cli_n3"])
+    batch, rep = wavepacket_ambient(spec, pts, full_output=True)
+    assert rep.total_nodes == 11 * 16 * 16 + 149 * 4 * 16
+    rows = np.array([wavepacket_ambient(spec, x) for x in pts[11:]])
+    assert np.max(np.abs(rows - batch[11:]) / np.abs(rows)) <= 1e-13
+
+
+@pytest.mark.parametrize("n, mu, bound", [(3, 1.5, 2e-6), (4, 2.0, 5e-6)])
+def test_routes_agree_at_the_front(n, mu, bound):
+    # 0.01 in beta on either side of the front beta* = atanh cos(gamma -
+    # delta) of the CLI path: the cap rule before it, the zonal route past
+    # it.  Past it the zonal route is within bound of the cap rule at
+    # (64, 40, 80) (measured 6.6e-7 and 2.0e-6); the cap rule at the CLI
+    # spec is 1.4e-5 and 1.1e-4 off there
+    gamma, delta = math.pi / 3, 0.35
+    front = math.atanh(math.cos(gamma - delta))
+    spec, pts = _packet_path(n, mu, delta, (16, 8, 16), (gamma,) * (n - 2), 0.5,
+                             front + np.array([-0.01, 0.01]))
+    vals, rep = wavepacket_ambient(spec, pts, full_output=True)
+    assert rep.total_nodes == spec.cap_nodes()[0].shape[0] + 4 * 16
+    assert vals[0] == _cap_rule(spec, pts[:1])[0]
+    ref = _cap_rule(spec, pts[1:], (64, 40, 80))[0]
+    assert abs(vals[1] - ref) < bound * abs(ref)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_wavepacket_inside_cap_keeps_cap_rule(n):
+    # gamma = 0.2 < delta: however late the point (here x_0/r = tanh 3 >
+    # cos(delta - gamma)), x.xi changes sign on the cap, where a Gauss
+    # rule in psi is not valid, so the row keeps the cap rule
+    spec, pts = _packet_path(n, 1.5 + 0.5 * (n - 3), 0.35, (16, 8, 16),
+                             (0.2,) * (n - 2), 0.5, np.array([3.0]))
+    assert math.tanh(3.0) > math.cos(0.35 - 0.2)
+    _, rep = wavepacket_ambient(spec, pts, full_output=True)
+    assert rep.total_nodes == spec.cap_nodes()[0].shape[0]
+
+
+@pytest.mark.parametrize("n, mu, tau, y, zonal", [
+    (3, 1.6, 0.2, (2.0, 0.5), True), (3, 1.6, -0.2, (-1.0, 0.5), True),
+    (3, 1.6, 0.4, (-0.5, 1.0), True), (4, 2.0, 0.2, (2.0, 0.5, 0.2), True),
+    (4, 2.0, -0.2, (-1.0, 0.5, 0.2), True), (4, 2.0, 0.4, (-0.5, 1.0, 0.3), True),
+    (3, 1.6, 1.0, (0.5, 0.3), False), (4, 2.0, 1.0, (0.5, 0.3, -0.2), False)])
+def test_wavepacket_solves_wave_equation_past_front(n, mu, tau, y, zonal):
+    # FD (box - mu^2) residual past the front, in the reflected
+    # horospheric chart.  At gamma = 1.2-2.3 on the zonal route: measured
+    # 3e-9 to 1.9e-7 (the cap rule 1e-9 to 2e-9), falling to 1e-9 to 6e-9
+    # at twice the psi and phi nodes, so it is quadrature error, not
+    # rounding.  At gamma = 3.0 > pi - delta the antipode of x_vec lies in
+    # the cap and the row keeps the cap rule: 1.5e-8 and 1.7e-8 there,
+    # where the zonal route read 1.4e-2 and 1.7e-3
+    from dswave.geometry import HoroChart, from_horo
+    cfg = SpacetimeConfig(n=n)
+    spec = _simple_spec(n=n, mu=mu)
+
+    def F(t, yy):
+        return complex(wavepacket_ambient(spec, from_horo(cfg, HoroChart(float(t), tuple(yy), -1))))
+
+    x = from_horo(cfg, HoroChart(tau, y, -1))
+    r = np.linalg.norm(x[1:])
+    gamma = math.acos(x[-1] / r)
+    assert gamma > 0.35 and x[0] > r * math.cos(gamma - 0.35)
+    assert transform._past_front(spec.profile, x[None])[0][0] == zonal
+    assert dalembert_horo_residual(cfg, F, tau, np.array(y), mu, h=1e-3,
+                                   richardson=True) < 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_zonal_average_matches_circle_integral(n):
+    # G against the profile summed by a 2000-node Gauss rule over the
+    # directions u at the angle psi from a pole at the angle gamma from the
+    # centre, with the azimuth phi measured from the centre's side
+    center = np.zeros(n)
+    center[-1] = 1.0
+    prof = AbsoluteProfile(tuple(center), 0.35, shape=1.2)
+    gamma = 1.1
+    psi = gamma + np.array([-0.34, -0.2, 0.0, 0.15, 0.3])
+    pole, toward, across = np.eye(n)[[0, -1, 1]] if n > 3 else np.eye(n)[[0, 2, 1]]
+    pole, toward = (np.sin(gamma) * pole + np.cos(gamma) * toward,
+                    -np.cos(gamma) * pole + np.sin(gamma) * toward)
+    x, w = roots_legendre(2000)
+    phi, w = 0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w
+    area = {3: 2.0, 4: 2.0 * math.pi, 5: 4.0 * math.pi}[n]
+    expect = []
+    for p in psi:
+        u = (math.cos(p) * pole + math.sin(p) * (np.cos(phi)[:, None] * toward
+                                                 + np.sin(phi)[:, None] * across))
+        expect.append(area * w @ (prof.value(u) * np.sin(phi) ** (n - 3)))
+    assert_allclose(prof.zonal_average(gamma, psi, 64), expect, rtol=0, atol=1e-12 * max(expect))
 
 
 def test_wavepacket_hyper_single_mode():
