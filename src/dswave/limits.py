@@ -436,11 +436,11 @@ def _hankel_tail(eta: float, nu: float, rho: float,
     keep = np.ones(w.shape, dtype=bool)
     if (eta - nu) % 1.0 == 0.0:
         keep[(m - int(eta - nu)) % 2 == 1, 0] = False
-    mi, pi = np.nonzero(keep)
+    mi, pj = np.nonzero(keep)
     s = (1j * rho - m[mi])[:, None]
-    z = (eps[None, :] + np.array([0.0, -2j, 2j])[pi, None]) * y0
+    z = (eps[None, :] + np.array([0.0, -2j, 2j])[pj, None]) * y0
     g = np.exp(-s * np.log(z)) * specfun.gamma_upper(s, z)
-    return y0, y0 ** (1j * rho) / (2.0 * math.pi) * (w[mi, pi] @ g)
+    return y0, y0 ** (1j * rho) / (2.0 * math.pi) * (w[mi, pj] @ g)
 
 
 @functools.lru_cache(maxsize=_PANEL_CACHE_ORDERS)

@@ -269,26 +269,33 @@ class AbsoluteProfile:
         The integral runs over the directions at the angle psi from a pole
         that lies at the angle gamma in (0, pi) from the centre, with phi
         the azimuth about the pole, 0 on the centre's side.  There the
-        angle theta from the centre has hav theta = hav(psi - gamma)
-        + sin psi sin gamma hav phi (hav x = sin^2(x/2)), and theta < delta
-        for phi < phi_max, with hav phi_max = sin((delta + psi - gamma)/2)
-        sin((delta - psi + gamma)/2) / (sin psi sin gamma).  The phi rule
-        is n_phi Gauss nodes on [0, phi_max].  The half-angle forms take
-        no arccos of a rounded cosine near 1, where it loses half the
-        digits.  gamma and psi broadcast; G is 0 where |psi - gamma| >=
-        delta.
+        angle theta from the centre has hav theta = hav t + sin psi sin
+        gamma hav phi (hav x = sin^2(x/2), t = psi - gamma), and theta <
+        delta for phi < phi_max, with sin psi sin gamma hav phi_max =
+        hav delta - hav t = sin((delta + t)/2) sin((delta - t)/2).  The
+        rule is n_phi Gauss nodes in w on [0, 1] with hav phi = hav phi_max
+        w^2, so hav theta = hav t + (hav delta - hav t) w^2: the profile's
+        nodes depend on t alone, and at n = 4 the rule's relative error
+        does not depend on gamma at all, however fast phi_max moves with
+        it (near psi = 0 or pi).  dphi/dw is singular at w = (hav
+        phi_max)^{-1/2}, so the rule is accurate while hav phi_max stays
+        well below 1; on the zonal route of wavepacket_ambient it stays
+        below 1/2.  No arccos of a rounded cosine near 1 is taken, where
+        it loses half the digits.  gamma and psi broadcast; G is 0 where
+        |psi - gamma| >= delta.
         """
         n = len(self.center)
         t = np.asarray(psi, dtype=float) - gamma
         ss = np.sin(psi) * np.sin(gamma)
-        hav_max = np.sin(0.5 * (self.delta + t)) * np.sin(0.5 * (self.delta - t)) / ss
-        phi_max = 2.0 * np.arcsin(np.sqrt(np.clip(hav_max, 0.0, 1.0)))
-        nodes, w = specfun.gauss_panels((0.0, 1.0), n_phi)
-        phi = phi_max[..., None] * nodes
-        hav = np.sin(0.5 * t)[..., None] ** 2 + ss[..., None] * np.sin(0.5 * phi) ** 2
+        dh = np.sin(0.5 * (self.delta + t)) * np.sin(0.5 * (self.delta - t))
+        a = np.clip(dh / ss, 0.0, 1.0)[..., None]        # hav phi_max
+        w, wt = specfun.gauss_panels((0.0, 1.0), n_phi)
+        hav = np.sin(0.5 * t)[..., None] ** 2 + (a * ss[..., None]) * w**2
         theta = 2.0 * np.arcsin(np.sqrt(np.minimum(hav, 1.0)))
-        return _sphere_area(n - 3) * phi_max * (
-            (self.at_angle(theta) * np.sin(phi) ** (n - 3)) @ w)
+        # dphi = 2 sqrt(a) dw / sqrt(1 - a w^2), sin phi = 2 sqrt(a) w sqrt(1 - a w^2)
+        root = np.sqrt(a)
+        jac = 2.0 * root * (2.0 * root * w) ** (n - 3) * (1.0 - a * w**2) ** (0.5 * n - 2.0)
+        return _sphere_area(n - 3) * ((self.at_angle(theta) * jac) @ wt)
 
 
 def _sphere_area(k: int) -> float:
@@ -338,8 +345,8 @@ class WavepacketSpec:
         """(psi, weights incl. the cone 1/2, sin^{n-2} psi and G_gamma(psi))
         of the zonal rule, one row per angle gamma in (delta, pi - delta);
         n >= 3.  psi runs over 4 Gauss panels of n_theta nodes on
-        [gamma - delta, gamma + delta], G over n_sub_azimuth nodes in phi
-        (see AbsoluteProfile.zonal_average)."""
+        [gamma - delta, gamma + delta], G over n_sub_azimuth nodes (see
+        AbsoluteProfile.zonal_average)."""
         delta = self.profile.delta
         gamma = np.asarray(gamma, dtype=float)[:, None]
         nodes, w = specfun.gauss_panels(np.linspace(-delta, delta, 5), self.n_theta)
@@ -387,18 +394,19 @@ def _past_front(profile: AbsoluteProfile, pts: np.ndarray):
 
     r = |x_vec| and gamma is the angle from x_vec to the profile centre,
     from atan2 of the parts of x_vec across and along the centre.  A row
-    is past its front when delta < gamma < pi - delta and x_0 > r cos(gamma
-    - delta): then s = -x_0 + r cos psi < 0 for every direction of the cap.
-    The bound pi - delta keeps the antipode of x_vec out of the cap, where
-    the circles of the phi rule close and its error stops being smooth in
-    gamma (see wavepacket_ambient)."""
+    is past its front when delta < gamma < pi - delta - 0.2 and x_0 > r
+    cos(gamma - delta): then s = -x_0 + r cos psi < 0 for every direction
+    of the cap.  The upper bound keeps the antipode of x_vec at least 0.2
+    outside the cap; nearer, the zonal average moves with gamma on the
+    scale of that distance, and the zonal rule's error with it (see
+    wavepacket_ambient)."""
     c = np.asarray(profile.center, dtype=float)
     xv = pts[:, 1:]
     r = np.linalg.norm(xv, axis=1)
     along = xv @ c
     gamma = np.arctan2(np.linalg.norm(xv - along[:, None] * c, axis=1), along)
     d = profile.delta
-    past = (gamma > d) & (gamma < math.pi - d) & (pts[:, 0] > r * np.cos(gamma - d))
+    past = (gamma > d) & (gamma < math.pi - d - 0.2) & (pts[:, 0] > r * np.cos(gamma - d))
     return past, gamma, r
 
 
@@ -416,16 +424,19 @@ def wavepacket_ambient(spec: WavepacketSpec, x, full_output: bool = False):
       AbsoluteProfile.zonal_average, built once per distinct gamma of the
       call.  A row costs 4 n_theta plane-wave values.  Its nodes move
       with x, so the field is not an exact sum of plane waves and its
-      quadrature error need not solve the wave equation: with the rule
-      (14, 8, 16) at n = 3 and 4 the FD (box - mu^2) residual of
-      dalembert_horo_residual (h = 1e-3, Richardson) reads 3e-9 to
-      1.9e-7 past the front at gamma = 1.2-2.3, up to 1.4e-5 as gamma
-      nears pi - delta, where the cap rule reads 1e-9 to 2e-9.  It does
-      not move with h and falls to 1e-9 to 6e-9 at twice the psi and phi
-      nodes.  With the antipode of x_vec in the cap it read 1.4e-2 and
-      inside the cap 2.7e-3, where the cap rule reads 3.3e-9, and where
-      s changes sign on the cap a Gauss rule in psi is not valid at
-      all; so no other row takes this route;
+      quadrature error need not solve the wave equation.  With the rule
+      (14, 8, 16) and delta = 0.35 the FD (box - mu^2) residual of
+      dalembert_horo_residual (h = 1e-3, Richardson) reads 7e-10 to
+      8.6e-8 at gamma = 1.2-2.3, where the cap rule reads 1e-9 to 2e-9,
+      and 9e-10 to 9e-9 at twice the psi and phi nodes, so it is
+      quadrature error.  At n = 3 it grows like the inverse square of the
+      antipode's distance from the cap: 3.7e-7 at 0.21, 2.2e-6 at 0.05
+      (5e-7 at 0.19 and 9.4e-7 at 0.14 for delta = 0.25), hence the bound
+      0.2 of _past_front; at n = 4 it stays below 1e-7 there.  With the
+      antipode in the cap, or inside the cap, the zonal rule fails
+      outright (residual 0.26 to 13), and where s changes sign on the
+      cap a Gauss rule in psi is not valid at all; so no other row takes
+      this route;
     * the cap rule of WavepacketSpec.cap_nodes for every other row, and
       at n = 2.  Nodes on x.xi = 0 to within the rounding bound of the
       dot product, (n+1) eps (|x_0 xi_0| + sum |x_i xi_i|), are dropped.

@@ -269,15 +269,25 @@ def test_wavepacket_inside_cap_keeps_cap_rule(n):
     (3, 1.6, 0.2, (2.0, 0.5), True), (3, 1.6, -0.2, (-1.0, 0.5), True),
     (3, 1.6, 0.4, (-0.5, 1.0), True), (4, 2.0, 0.2, (2.0, 0.5, 0.2), True),
     (4, 2.0, -0.2, (-1.0, 0.5, 0.2), True), (4, 2.0, 0.4, (-0.5, 1.0, 0.3), True),
+    (3, 1.6, 0.0, (0.514, 0.154), True), (3, 1.6, 0.4, (-0.361, 0.722), True),
+    (4, 2.0, 0.0, (0.505, 0.151, 0.101), True),
+    (4, 2.0, 0.4, (-0.349, 0.697, 0.209), True),
+    (3, 1.6, 0.0, (0.374, 0.112), False), (3, 1.6, 0.4, (-0.27, 0.541), False),
+    (4, 2.0, 0.0, (0.367, 0.11, 0.073), False),
+    (4, 2.0, 0.4, (-0.261, 0.522, 0.157), False),
     (3, 1.6, 1.0, (0.5, 0.3), False), (4, 2.0, 1.0, (0.5, 0.3, -0.2), False)])
 def test_wavepacket_solves_wave_equation_past_front(n, mu, tau, y, zonal):
     # FD (box - mu^2) residual past the front, in the reflected
-    # horospheric chart.  At gamma = 1.2-2.3 on the zonal route: measured
-    # 3e-9 to 1.9e-7 (the cap rule 1e-9 to 2e-9), falling to 1e-9 to 6e-9
+    # horospheric chart, with the antipode of x_vec at the distance pi -
+    # delta - gamma from the cap.  On the zonal route at gamma = 1.2-2.3:
+    # measured 7e-10 to 8.6e-8 (the cap rule 1e-9 to 2e-9), 9e-10 to 9e-9
     # at twice the psi and phi nodes, so it is quadrature error, not
-    # rounding.  At gamma = 3.0 > pi - delta the antipode of x_vec lies in
-    # the cap and the row keeps the cap rule: 1.5e-8 and 1.7e-8 there,
-    # where the zonal route read 1.4e-2 and 1.7e-3
+    # rounding.  At gamma = pi - delta - 0.21, just inside the route's
+    # bound: 3.7e-7 and 3.8e-7 at n = 3, 6.6e-9 and 3.5e-8 at n = 4.  At
+    # gamma = pi - delta - 0.05 the row keeps the cap rule: 2e-9 to 7e-9,
+    # where the zonal route read 2.1e-6 and 2.4e-6 at n = 3.  At gamma =
+    # 3.0 > pi - delta the antipode lies in the cap and the row keeps the
+    # cap rule: 1.5e-8 and 1.7e-8, where the zonal route read 13 and 0.26
     from dswave.geometry import HoroChart, from_horo
     cfg = SpacetimeConfig(n=n)
     spec = _simple_spec(n=n, mu=mu)
@@ -295,14 +305,14 @@ def test_wavepacket_solves_wave_equation_past_front(n, mu, tau, y, zonal):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_zonal_average_matches_circle_integral(n):
+@pytest.mark.parametrize("gamma", [1.1, 2.55])
+def test_zonal_average_matches_circle_integral(n, gamma):
     # G against the profile summed by a 2000-node Gauss rule over the
     # directions u at the angle psi from a pole at the angle gamma from the
     # centre, with the azimuth phi measured from the centre's side
     center = np.zeros(n)
     center[-1] = 1.0
     prof = AbsoluteProfile(tuple(center), 0.35, shape=1.2)
-    gamma = 1.1
     psi = gamma + np.array([-0.34, -0.2, 0.0, 0.15, 0.3])
     pole, toward, across = np.eye(n)[[0, -1, 1]] if n > 3 else np.eye(n)[[0, 2, 1]]
     pole, toward = (np.sin(gamma) * pole + np.cos(gamma) * toward,
