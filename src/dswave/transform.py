@@ -430,7 +430,7 @@ def wavepacket_ambient(spec: WavepacketSpec, x, full_output: bool = False):
       8.6e-8 at gamma = 1.2-2.3, where the cap rule reads 1e-9 to 2e-9,
       and 9e-10 to 9e-9 at twice the psi and phi nodes, so it is
       quadrature error.  At n = 3 it grows like the inverse square of the
-      antipode's distance from the cap: 3.7e-7 at 0.21, 2.2e-6 at 0.05
+      antipode's distance from the cap: 3.7e-7 at 0.21, 2.4e-6 at 0.05
       (5e-7 at 0.19 and 9.4e-7 at 0.14 for delta = 0.25), hence the bound
       0.2 of _past_front; at n = 4 it stays below 1e-7 there.  With the
       antipode in the cap, or inside the cap, the zonal rule fails
