@@ -158,7 +158,7 @@ def no_stationary_phase() -> list[Row]:
             for th1 in np.linspace(0.15, np.pi - 0.15, 6)
             for th2 in np.linspace(0.15, np.pi - 0.15, 6)
             for ph in np.linspace(0, 2 * np.pi, 6, endpoint=False)]
-    g = limits.phase_gradient_min(cfg, pts, dirs)
+    g = limits.phase_gradient_min(pts, dirs)
     return [("min |grad Phi|", g, 0.0, g > 0.0)]
 
 

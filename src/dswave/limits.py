@@ -59,7 +59,7 @@ def minkowski_covector(xi, mu: float | None = None, tol: float = 1e-10) -> np.nd
 # --------------------------------------------------------- stationary phase
 
 
-def phase_gradient(cfg: SpacetimeConfig, x, xi) -> np.ndarray:
+def phase_gradient(x, xi) -> np.ndarray:
     """Gradient of the plane-wave phase profile over the absolute.
 
     (1/((|x_0| + |x|)(x.xi))) * (x_1 - x_0 xi_1/xi_0, ..., x_n - x_0 xi_n/xi_0)
@@ -79,7 +79,7 @@ def phase_gradient(cfg: SpacetimeConfig, x, xi) -> np.ndarray:
             / (s * dot)[..., None])
 
 
-def phase_gradient_min(cfg: SpacetimeConfig, points, directions) -> float:
+def phase_gradient_min(points, directions) -> float:
     """Min over (x, xi) grids of |grad Phi|; positive means no fixed point.
 
     One phase_gradient call covers every point against every covector
@@ -87,7 +87,7 @@ def phase_gradient_min(cfg: SpacetimeConfig, points, directions) -> float:
     x = np.asarray(points, dtype=float)[:, None]
     u = np.asarray(directions, dtype=float)
     xi = np.concatenate([np.ones((len(u), 1)), u], axis=1)
-    return float(np.min(np.linalg.norm(phase_gradient(cfg, x, xi), axis=-1)))
+    return float(np.min(np.linalg.norm(phase_gradient(x, xi), axis=-1)))
 
 
 # -------------------------------------------------------------- decay fits
@@ -98,10 +98,10 @@ class DecayFit:
     """Windowed power-law fit of a decaying field sample.
 
     slopes[i] is the fitted d log|f| / d log s on window i (sign flipped so
-    a decay like s^-p reports p); envelope fitting uses window maxima to
-    ride over modulus oscillations.  status is "ok" when at least one
-    window was fitted, "no-fit" when none was, "noise-limited" when a
-    window fell below the noise floor, and "zero-field" for |f| = 0.
+    a decay like s^-p reports p), fitted to bin maxima that ride over
+    modulus oscillations.  status is "ok" when at least one window was
+    fitted, "no-fit" when none was, "noise-limited" when a window fell
+    below the noise floor, and "zero-field" for |f| = 0.
     """
 
     s_windows: list[tuple[float, float]] = field(default_factory=list)
@@ -111,17 +111,16 @@ class DecayFit:
     status: str = "ok"
 
 
-def decay_fit(s_values, f_values, n_windows: int = 4,
-              noise_floor: float = 0.0, envelope: bool = True,
+def decay_fit(s_values, f_values, n_windows: int = 4, noise_floor: float = 0.0,
               bin_width: float | None = None) -> DecayFit:
     """Fit per-window decay exponents of |f| against s.
 
     The sample is split into n_windows log-spaced windows; within each
     window the samples are grouped into log-s bins of width bin_width
-    (in log s), reduced to bin maxima when envelope=True, and fitted by
-    least squares.  For oscillating moduli, bin_width must cover at least
-    one oscillation period so the maxima trace the envelope (for the
-    hyperbolic standing waves that period is pi/rho in beta = log s).
+    (in log s), reduced to bin maxima, and fitted by least squares.  For
+    oscillating moduli, bin_width must cover at least one oscillation
+    period so the maxima trace the envelope (for the hyperbolic standing
+    waves that period is pi/rho in beta = log s).
     Windows whose amplitude falls below noise_floor mark the fit
     noise-limited.  A window with fewer than 6 samples, or fewer than 3
     nonzero bins, is skipped; if every window is skipped the status is
@@ -144,16 +143,15 @@ def decay_fit(s_values, f_values, n_windows: int = 4,
         if np.max(ff) <= noise_floor:
             out.status = "noise-limited"
             break
-        if envelope:
-            nbins = max(3, int(round(math.log(hi / lo) / bin_width)))
-            bins = np.geomspace(lo, hi, nbins + 1)
-            which = np.digitize(ss, bins)
-            # bin by bin, the first of the samples with the bin's largest
-            # |f|: the sort is stable, so ties keep the sample order
-            order = np.lexsort((-ff, which))
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = which[order[1:]] != which[order[:-1]]
-            ss, ff = ss[order[first]], ff[order[first]]
+        nbins = max(3, int(round(math.log(hi / lo) / bin_width)))
+        bins = np.geomspace(lo, hi, nbins + 1)
+        which = np.digitize(ss, bins)
+        # bin by bin, the first of the samples with the bin's largest
+        # |f|: the sort is stable, so ties keep the sample order
+        order = np.lexsort((-ff, which))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = which[order[1:]] != which[order[:-1]]
+        ss, ff = ss[order[first]], ff[order[first]]
         good = ff > 0
         if good.sum() < 3:
             continue
@@ -380,6 +378,17 @@ _SERIES_PANEL_X_MAX = 700.0
 _PANEL_CACHE_ORDERS = 32
 # appendix_d_oracle raises AccuracyError above this leave-one-out spread
 _EXTRAPOLATION_SPREAD_MAX = 5e-4
+# resolution of y^{i rho} and eps^{-i rho}, measured against d_abs over n
+# 2-5, j 0-2, k 0-1.  On the [_Y_SPLIT, Y0] panels (largest step in log y
+# 0.054, in the first panel) the integral is within 1.3e-8 of a 64-node
+# rule at 2.9 nodes per turn of y^{i rho} (rho 40), 6e-6 at 2.3; below
+# _PANEL_NODES_PER_TURN_MIN bessel_pair_integral raises AccuracyError.  On
+# the default eps grid (step 0.48 in log eps) |d| is within 4.0e-5 up to a
+# phase step rho max dlog eps of 6.0 rad (rho 12.5), 1.3e-4 at 6.19, and
+# the fit breaks down at 2 pi, where eps^{-i rho} aliases to a constant;
+# above _EPS_PHASE_STEP_MAX appendix_d_oracle raises AccuracyError
+_PANEL_NODES_PER_TURN_MIN = 3.0
+_EPS_PHASE_STEP_MAX = 6.0
 
 
 def _hankel_terms(eta: float) -> tuple[float, np.ndarray, float]:
@@ -481,7 +490,9 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float,
     cut at the first term below 1e-15 of the leading one, which bounds
     the truncation error for real y >= Y0 (DLMF 10.17(iii)); Y0 doubles,
     up to 640, while the order needs it, and AccuracyError is raised
-    beyond that.
+    beyond that.  The panels resolve y^{i rho} with at least 3 nodes per
+    turn (at the widest step in log y between nodes) or raise
+    AccuracyError: rho up to about 38.
 
     eps is a positive finite scalar (the result is a complex) or a 1-D
     array (one value per eps, in input order).  The panel nodes, weights
@@ -504,6 +515,11 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float,
     eps_vec = np.atleast_1d(eps_arr)
     eta = 0.5 * (n + 2 * j - 2)
     nu = 0.5 if k % 2 else -0.5
+    yy, wy, je, jn = _bessel_panels(eta, nu)
+    per_turn = 2.0 * math.pi / (rho * np.max(np.diff(np.log(yy))))
+    if per_turn < _PANEL_NODES_PER_TURN_MIN:
+        raise AccuracyError(f"y^(i rho) at rho = {rho:g} has {per_turn:.2f} nodes per "
+                            f"turn on the Bessel panels, below {_PANEL_NODES_PER_TURN_MIN:g}")
     val = _hankel_tail(eta, nu, rho, eps_vec)[1]
     # series panel: J_eta J_nu = sum_p a_p (y/2)^{w_p - 1 - i rho} with
     # w_p = eta+nu+2p+1+i rho, and int_0^Y y^{w-1} e^{-eps y} dy =
@@ -519,7 +535,6 @@ def bessel_pair_integral(n: int, j: int, k: int, rho: float,
     lower = specfun.gamma_lower_scaled(w[:, None], x[None, :])
     val += np.sum((a_p * 2.0 ** (-base) * _Y_SPLIT ** w)[:, None] * lower, axis=0)
     # Gauss panels on [_Y_SPLIT, Y0], built once per order
-    yy, wy, je, jn = _bessel_panels(eta, nu)
     g = wy * yy ** (1j * rho) * je * jn
     val += np.sum(np.exp(-eps_vec[:, None] * yy) * g, axis=1)
     return complex(val[0]) if eps_arr.ndim == 0 else val
@@ -557,15 +572,21 @@ def appendix_d_oracle(n: int, j: int, k: int, rho: float,
     and Gamma functions serve every eps, and the full fit and the
     leave-one-out fits are one stacked solve (_extrapolate).
 
-    Raises AccuracyError when the extrapolation is unstable (leave-one-out
-    spread above 5e-4); bessel_pair_integral raises PoleError for
-    rho <= 0 and ValueError for a sector outside n >= 2, j >= 0, k >= 0 or
-    an eps that is not positive and finite.
+    Raises AccuracyError when the eps grid does not resolve eps^{-i rho}
+    (phase step rho max dlog eps above 6 rad: rho above 12.5 on the
+    default grid) or the extrapolation is unstable (leave-one-out spread
+    above 5e-4); bessel_pair_integral raises AccuracyError for rho above
+    about 38, PoleError for rho <= 0 and ValueError for a sector outside
+    n >= 2, j >= 0, k >= 0 or an eps that is not positive and finite.
     """
     if eps_values is None:
         eps_values = np.geomspace(2e-3, 1.5e-1, 10)
     eps = np.asarray(eps_values, dtype=float)
     vals = bessel_pair_integral(n, j, k, rho, eps)
+    step = rho * np.max(np.diff(np.log(np.sort(eps))), initial=0.0)
+    if step > _EPS_PHASE_STEP_MAX:
+        raise AccuracyError(f"eps^(-i rho) at rho = {rho:g} turns {step:.2f} rad per eps "
+                            f"step, above {_EPS_PHASE_STEP_MAX:g}")
     cols = []
     for m in range(fit_order + 1):
         cols.append(eps ** m)

@@ -29,10 +29,8 @@ __all__ = [
     "horo_n",
     "rotation_k",
     "act",
-    "regular_rep_pullback",
     "is_isometry",
     "random_group_word",
-    "contract_scale",
     "poincare_residual",
     "casimir_defining_multiple",
     "iwasawa_ad_residual",
@@ -169,11 +167,6 @@ def act(cfg: SpacetimeConfig, g: np.ndarray, x, check: bool = True):
     return np.asarray(x, dtype=float) @ g
 
 
-def regular_rep_pullback(cfg: SpacetimeConfig, g: np.ndarray, f, x):
-    """Scalar regular representation: (Pi(g) f)(x) = f(x.g)."""
-    return f(act(cfg, g, x))
-
-
 def random_group_word(cfg: SpacetimeConfig, rng: np.random.Generator,
                       length: int = 6, scale: float = 1.0) -> np.ndarray:
     """Random product of boosts a, translations n, and rotations k, m."""
@@ -196,19 +189,6 @@ def random_group_word(cfg: SpacetimeConfig, rng: np.random.Generator,
             else:
                 g = g @ boost_a(cfg, scale * rng.normal())
     return g
-
-
-def contract_scale(basis: dict[str, np.ndarray], R: float) -> dict[str, np.ndarray]:
-    """Rescale an Iwasawa-labeled basis: b' = b, a' = a/R, n'_i = n_i/R."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    out = {}
-    for name, m in basis.items():
-        if name == "a" or name.startswith("n"):
-            out[name] = m / R
-        else:
-            out[name] = np.asarray(m, dtype=float)
-    return out
 
 
 def _so_block(E: np.ndarray) -> np.ndarray:

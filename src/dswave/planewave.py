@@ -20,8 +20,11 @@ builds it that way for comparison.  radial_table holds the
 one copy of the radial factor: one call of specfun.gauss_2f1_array, the
 one 2F1 entry point, over every (rho, top label) pair it is asked for:
 it scales the values and returns the worst of the digits lost.
-radial_profile is its one-point call.  The large-beta constants come from
-specfun.connection_gammas.
+radial_profile is its one-point call.  The large-beta constants (D1, D2)
+are specfun.connection_gammas(*hyper_2f1_params(wave)): 2F1 -> D1 + D2
+(1-v)^{c-a-b} as v -> 1, so the radial factor behaves like
+(cosh b)^{-(n-1)/2} [D1 (cosh b)^{i rho} + D2 (cosh b)^{-i rho}] times the
+normalization, with D1 = conj(D2).
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ __all__ = [
     "psi_hyper",
     "radial_profile",
     "radial_table",
-    "connection_constants",
     "asymptotic_leading",
     "parity",
     "radial_ode_residual",
@@ -233,16 +235,6 @@ def psi_hyper(wave: HyperWave, chart: HyperChart) -> complex:
     harmonic (the mirrored pairing takes the mirrored radial_profile)."""
     Y = specfun.hypersph_Y(wave.idx, chart.phis, chart.phi)
     return complex(radial_profile(wave, chart.beta) * Y)
-
-
-def connection_constants(wave: HyperWave) -> tuple[complex, complex]:
-    """Large-beta constants (D1, D2) of the hypergeometric factor.
-
-    2F1(a,b;c;v) -> D1 + D2 (1-v)^{c-a-b} as v -> 1, so the radial factor
-    behaves like (cosh b)^{-(n-1)/2} [D1 (cosh b)^{i rho} + D2 (cosh b)^{-i rho}]
-    times the normalization; D1 = conj(D2).
-    """
-    return specfun.connection_gammas(*hyper_2f1_params(wave))
 
 
 def asymptotic_leading(wave: HyperWave, beta, phis, phi,

@@ -72,7 +72,6 @@ __all__ = [
     "gauss_panels",
     "hypersph_Y",
     "harmonic_indices",
-    "sphere_laplacian_eigenvalue",
     "bessel_j",
     "norm_K",
     "d_abs",
@@ -715,11 +714,6 @@ def harmonic_indices(n: int, l_max: int) -> list[HarmonicIndex]:
 
     chains((), n - 2)
     return out
-
-
-def sphere_laplacian_eigenvalue(idx: HarmonicIndex) -> float:
-    """Eigenvalue -top(top + n - 2) of the S^{n-1} Laplacian on the mode."""
-    return -float(idx.top * (idx.top + idx.n - 2))
 
 
 def bessel_j(nu: float, x):

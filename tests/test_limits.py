@@ -49,18 +49,17 @@ def test_minkowski_pair():
 def test_phase_gradient_hand_value():
     cfg = SpacetimeConfig(n=3, R=2.0)
     xi = np.array([1.0, 0.0, 0.0, 1.0])
-    g = phase_gradient(cfg, origin(cfg), xi)
+    g = phase_gradient(origin(cfg), xi)
     expect = np.zeros(3)
     expect[-1] = 1.0 / cfg.R
     assert_allclose(g, expect, rtol=1e-14)
 
 
 def test_phase_gradient_singular():
-    cfg = SpacetimeConfig(n=2)
     xi = np.array([1.0, 0.0, 1.0])
     x = np.array([1.0, math.sqrt(2.0), 1.0])
     with pytest.raises(OnSingularSurfaceError):
-        phase_gradient(cfg, x, xi)
+        phase_gradient(x, xi)
 
 
 def _phase_grid(n, n_points, n_dirs, seed):
@@ -79,11 +78,11 @@ def _phase_grid(n, n_points, n_dirs, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_phase_gradient_batch_matches_scalar_calls(n):
     cfg, pts, xis = _phase_grid(n, 7, 11, seed=n)
-    g = phase_gradient(cfg, pts[:, None], xis)
+    g = phase_gradient(pts[:, None], xis)
     assert g.shape == (7, 11, n)
     for p, x in enumerate(pts):
         for d, xi in enumerate(xis):
-            ref = phase_gradient(cfg, x, xi)
+            ref = phase_gradient(x, xi)
             assert np.all(np.abs(g[p, d] - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
@@ -94,9 +93,9 @@ def test_phase_gradient_batch_singular_pair():
     xis[4] = [1.0, 0.0, 1.0]
     assert minkowski_dot(pts[3], xis[4]) == 0.0
     with pytest.raises(OnSingularSurfaceError):
-        phase_gradient(cfg, pts[:, None], xis)
+        phase_gradient(pts[:, None], xis)
     with pytest.raises(OnSingularSurfaceError):
-        phase_gradient_min(cfg, pts, xis[:, 1:])
+        phase_gradient_min(pts, xis[:, 1:])
 
 
 def test_phase_gradient_never_vanishes():
@@ -110,7 +109,7 @@ def test_phase_gradient_never_vanishes():
         for ph in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             dirs.append(np.array([np.sin(th) * np.sin(ph),
                                   np.sin(th) * np.cos(ph), np.cos(th)]))
-    assert phase_gradient_min(cfg, pts, dirs) > 1e-3
+    assert phase_gradient_min(pts, dirs) > 1e-3
 
 
 def test_fixed_point_would_force_zero_radius():
@@ -134,7 +133,7 @@ def test_fixed_point_would_force_zero_radius():
 
 def test_decay_fit_power_law():
     s = np.geomspace(1.0, 1e4, 400)
-    fit = decay_fit(s, s ** (-2.5), n_windows=3, envelope=False)
+    fit = decay_fit(s, s ** (-2.5), n_windows=3)
     for sl in fit.slopes:
         assert_allclose(sl, 2.5, atol=1e-6)
     assert fit.non_decreasing
@@ -159,7 +158,7 @@ def test_decay_fit_no_window_fitted():
 def test_decay_fit_partial_fit_stays_ok():
     # the second window holds 3 samples and is skipped; the first is fitted
     s = np.concatenate([np.geomspace(1.0, 9.0, 30), [50.0, 100.0]])
-    fit = decay_fit(s, s ** (-2.0), n_windows=2, envelope=False)
+    fit = decay_fit(s, s ** (-2.0), n_windows=2)
     assert len(fit.slopes) == 1
     assert_allclose(fit.slopes[0], 2.0, atol=1e-9)
     assert fit.status == "ok"
@@ -654,6 +653,21 @@ def test_bessel_product_series_vs_gamma_form():
         ref = np.convolve(coeffs(eta), coeffs(nu))[:24]
         assert_allclose(limits._bessel_product_series(eta, nu), ref,
                         rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n,j,k", [(2, 0, 0), (3, 1, 1), (5, 2, 0)])
+def test_appendix_oracle_refuses_unresolved_rho(n, j, k):
+    # the default eps grid turns eps^{-i rho} by 9.6 rad per step at rho =
+    # 20, where |d| was 1.3e-4 to 1.4e-4 off with no error; at rho = 200
+    # the Bessel panels hold 0.58 nodes per turn of y^{i rho}, whatever the
+    # eps grid, and |d| was 9.6 % to 38 % off
+    from dswave.errors import AccuracyError
+    with pytest.raises(AccuracyError, match="per eps step"):
+        appendix_d_oracle(n, j, k, 20.0)
+    with pytest.raises(AccuracyError, match="nodes per turn"):
+        appendix_d_oracle(n, j, k, 200.0)
+    with pytest.raises(AccuracyError, match="nodes per turn"):
+        bessel_pair_integral(n, j, k, 200.0, 0.1)
 
 
 def test_appendix_oracle_rejects_unstable_fit():

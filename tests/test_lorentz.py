@@ -115,31 +115,6 @@ def test_random_words_preserve_form(n):
         assert abs(minkowski_dot(x, x) - cfg.R**2) < 1e-10 * cfg.R**2
 
 
-def test_regular_rep_pullback():
-    cfg = SpacetimeConfig(n=2)
-    g = lorentz.boost_a(cfg, 0.5)
-    f = lambda x: x[0] + 2 * x[2]
-    x = origin(cfg)
-    assert_allclose(lorentz.regular_rep_pullback(cfg, g, f, x),
-                    f(lorentz.act(cfg, g, x)))
-    const = lambda x: 4.2
-    assert lorentz.regular_rep_pullback(cfg, g, const, x) == 4.2
-
-
-def test_contract_scale_labels():
-    cfg = SpacetimeConfig(n=3)
-    basis = {"a": lorentz.generator(cfg, "iwasawa_a"),
-             "n1": lorentz.generator(cfg, "iwasawa_n", 1),
-             "b_J12": lorentz.generator(cfg, "rotation", 1, 2)}
-    out = lorentz.contract_scale(basis, 1.0)
-    for k in basis:
-        assert_allclose(out[k], basis[k])
-    out = lorentz.contract_scale(basis, 10.0)
-    assert_allclose(out["a"], basis["a"] / 10.0)
-    assert_allclose(out["n1"], basis["n1"] / 10.0)
-    assert_allclose(out["b_J12"], basis["b_J12"])
-
-
 def test_scaled_translations_almost_commute():
     cfg = SpacetimeConfig(n=4)
     for R in (10.0, 100.0):

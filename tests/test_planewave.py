@@ -14,12 +14,12 @@ from dswave.errors import (AccuracyError, ChartSingularError,
 from dswave.geometry import (HyperChart, SpacetimeConfig, central_differences,
                              from_hyper, minkowski_dot, origin)
 from dswave.planewave import (AmbientWave, HyperWave, asymptotic_leading,
-                              connection_constants, dalembert_residual,
-                              hyper_2f1_params, ode_variant_report, parity,
+                              dalembert_residual, hyper_2f1_params,
+                              ode_variant_report, parity,
                               principal_mass, principal_mass_from_rho,
                               psi_ambient, psi_hyper, radial_ode_residual,
                               radial_profile)
-from dswave.specfun import HarmonicIndex, hypersph_Y, norm_K
+from dswave.specfun import HarmonicIndex, connection_gammas, hypersph_Y, norm_K
 
 
 # --------------------------------------------------------- principal mass
@@ -337,14 +337,14 @@ def test_radial_profile_beyond_sech2_range_raises():
 def test_connection_constants_conjugate_pair():
     for alpha in (1, 2):
         w = HyperWave(alpha, 1.1, HarmonicIndex(3, 1, (2,)))
-        D1, D2 = connection_constants(w)
+        D1, D2 = connection_gammas(*hyper_2f1_params(w))
         assert_allclose(D1, np.conj(D2), rtol=1e-12)
 
 
 def test_two_term_asymptotics():
     n, l, rho = 3, 1, 1.1
     w = HyperWave(2, rho, HarmonicIndex(n, 0, (l,)))
-    D1, D2 = connection_constants(w)
+    D1, D2 = connection_gammas(*hyper_2f1_params(w))
     K = norm_K(2, n, l, rho)
     for beta in (3.0, 4.0, 5.0):
         V = complex(radial_profile(w, beta))
@@ -378,7 +378,7 @@ def test_asymptotic_leading_tracks_forward_component():
     # counter-rotating part)
     n, l, rho = 2, 1, 1.7
     w = HyperWave(2, rho, HarmonicIndex(n, l, ()))
-    D1, _ = connection_constants(w)
+    D1, _ = connection_gammas(*hyper_2f1_params(w))
     K = norm_K(2, n, l, rho)
     Y = complex(hypersph_Y(w.idx, [], 0.0))
     val = asymptotic_leading(w, 7.0, [], 0.0, beta0=8.0, window=6.0)
@@ -395,8 +395,8 @@ def test_norm_K_is_spectral_density_normalization():
             for rho in (0.6, 1.3, 2.4):
                 idx = HarmonicIndex(n, l if n == 2 else 0,
                                     tuple([l] * (n - 2)) if n > 2 else ())
-                _, D2e = connection_constants(HyperWave(2, rho, idx))
-                _, D2o = connection_constants(HyperWave(1, rho, idx))
+                _, D2e = connection_gammas(*hyper_2f1_params(HyperWave(2, rho, idx)))
+                _, D2o = connection_gammas(*hyper_2f1_params(HyperWave(1, rho, idx)))
                 assert_allclose(norm_K(2, n, idx.top, rho),
                                 2 * np.pi * rho * abs(D2e) ** 2, rtol=1e-11)
                 assert_allclose(norm_K(1, n, idx.top, rho),

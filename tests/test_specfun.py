@@ -678,7 +678,7 @@ def test_harmonic_laplacian_eigenvalue_fd():
     # FD sphere Laplacian residual falls at O(h^2)
     from dswave.geometry import central_differences
     idx = HarmonicIndex(3, 1, (2,))
-    lam = specfun.sphere_laplacian_eigenvalue(idx)
+    lam = -idx.top * (idx.top + idx.n - 2)
     p1, phi = 0.9, 0.7
 
     def F(q):

@@ -235,6 +235,44 @@ def test_zonal_route_rows_match_batch():
     assert np.max(np.abs(rows - batch[11:]) / np.abs(rows)) <= 1e-13
 
 
+def test_zonal_route_peak_memory_is_blocked():
+    # 1000 rows past the front at n = 4, each at its own gamma: G is built
+    # a few gammas at a time and the rows are summed in blocks, so the peak
+    # stays near the block's bytes (measured 0.33 MiB); building G for
+    # every gamma at once took 59 MiB
+    cfg = SpacetimeConfig(n=4)
+    spec = WavepacketSpec(AbsoluteProfile((0.0, 0.0, 0.0, 1.0), 0.35),
+                          principal_mass(cfg, 2.0), 16, 8, 16)
+    rng = np.random.default_rng(2)
+    m = 1000
+    pts = from_hyper(cfg, HyperChart(rng.uniform(2.0, 6.0, m),
+                                     tuple(rng.uniform(0.6, 2.2, (2, m))),
+                                     rng.uniform(0, 2 * np.pi, m)))
+    past, gamma, _ = transform._past_front(spec.profile, pts)
+    assert past.sum() > 750 and np.unique(gamma[past]).size == past.sum()
+    tracemalloc.start()
+    try:
+        vals = wavepacket_ambient(spec, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("path", ["cli_n3", "cli_n4"])
+def test_noise_estimate_does_not_depend_on_rows(path):
+    # an empty call, one row on the zonal route, and the CLI path (cap rule
+    # before the front, zonal route past it) report the same noise figure
+    spec, pts = _packet_path(*_PACKET_PATHS[path])
+    past = transform._past_front(spec.profile, pts)[0]
+    assert past[-1] and not past.all()
+    figures = [wavepacket_ambient(spec, rows, full_output=True)[1].noise_estimate
+               for rows in (pts[:0], pts[-1:], pts)]
+    assert figures[0] > 0.0
+    assert figures[0] == figures[1] == figures[2]
+
+
 @pytest.mark.parametrize("n, mu, bound", [(3, 1.5, 2e-6), (4, 2.0, 5e-6)])
 def test_routes_agree_at_the_front(n, mu, bound):
     # 0.01 in beta on either side of the front beta* = atanh cos(gamma -
@@ -723,6 +761,12 @@ def test_forward_takes_real_and_strided_fields_and_checks_shape(hyper_grid):
     for bad in (F[:, :1], F.T, F[0], F[:, :, None]):
         with pytest.raises(ValueError, match="shape"):
             fourier_hyper_forward(bad, rho, hyper_grid)
+
+
+def test_forward_refuses_a_callable(hyper_grid):
+    # the field is its array on the grid; a function of the chart is not
+    with pytest.raises(ValueError, match="shape"):
+        fourier_hyper_forward(lambda beta, phis, phi: beta + 0.0 * phi, 1.3, hyper_grid)
 
 
 @pytest.mark.parametrize("n,sizes", [(2, _GRID2), (3, _GRID3)])

@@ -5,7 +5,11 @@ Runs dswave.cli.main in this process for every subcommand and every
 n = 3 and 4, with a sys.settrace hook on call events.  The package's
 functions (methods and nested functions included) are read from its
 source with ast.  Prints the exit code of each run, then every function
-that was never entered, as module:line qualname.
+that was never entered, as module:line qualname, and then those of them
+that no file under tests/ names either (a method by its own name, or by
+its class's for a dunder; a nested function by its outer function's).
+The tests may still run those through a function they do name, as a
+private helper, or through an option the CLI runs leave off.
 
     python tools/linetrace.py
 
@@ -22,7 +26,9 @@ import os
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src")
+TESTS = os.path.join(ROOT, "tests")
 sys.path.insert(0, os.path.abspath(SRC))
 
 from dswave import cli, criteria  # noqa: E402
@@ -53,6 +59,35 @@ def package_functions(pkg_dir: str) -> dict[tuple[str, int], tuple[str, int, str
 
         visit(tree, "")
     return found
+
+
+def names_in_tests(tests_dir: str) -> set[str]:
+    """Every name, attribute and imported name in the files under tests_dir."""
+    names = set()
+    for base, _, files in os.walk(tests_dir):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(base, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def named_by(qual: str, names: set[str]) -> bool:
+    """Whether names holds the name a caller would write for qual."""
+    parts = qual.split(".<locals>.")[0].split(".")
+    name = parts[-1]
+    if name.startswith("__") and name.endswith("__") and len(parts) > 1:
+        name = parts[-2]
+    return name in names
 
 
 def runs() -> list[tuple[dict, list[str]]]:
@@ -95,6 +130,11 @@ def main() -> int:
     missed = sorted(v for k, v in functions.items() if k not in entered)
     print(f"never entered: {len(missed)} of {len(functions)} functions")
     for module, line, qual in missed:
+        print(f"  {module}:{line} {qual}")
+    names = names_in_tests(TESTS)
+    untested = [m for m in missed if not named_by(m[2], names)]
+    print(f"never entered and named by no test: {len(untested)}")
+    for module, line, qual in untested:
         print(f"  {module}:{line} {qual}")
     return 0
 
